@@ -15,54 +15,30 @@ Conventions (calibrated against the worked monodromy computations):
 
 from __future__ import annotations
 
-from .braid import Braid, artin_gen, invert
-from .factorization import Factor, Factorization
+from .braid import Braid, artin_gen, block_half_twist, invert
 
 BELOW = "below"
 ABOVE = "above"
 
 
 class PunctureConfig:
-    """Ordered slots; each slot one real puncture or a conjugate pair.
+    """Punctures on the real line, one label per strand position."""
 
-    A pair slot holds two punctures (listed upper-half-plane member first) and
-    occupies two adjacent strand positions.
-    """
+    __slots__ = ("_pos", "_punctures")
 
-    __slots__ = ("slots", "_pos", "_punctures")
-
-    def __init__(self, slots):
-        self.slots = tuple(slots)
-        punctures: list[str] = []
-        for s in self.slots:
-            kind = s[0]
-            if kind == "real":
-                punctures.append(s[1])
-            elif kind == "pair":
-                punctures.extend(s[1])
-            else:
-                raise ValueError(f"bad slot {s!r}")
-        self._punctures = tuple(punctures)
-        self._pos = {lab: i for i, lab in enumerate(punctures)}
-        if len(self._pos) != len(punctures):
+    def __init__(self, labels):
+        self._punctures = tuple(str(l) for l in labels)
+        self._pos = {lab: i for i, lab in enumerate(self._punctures)}
+        if len(self._pos) != len(self._punctures):
             raise ValueError("duplicate puncture labels")
 
     @classmethod
     def reals(cls, labels) -> "PunctureConfig":
-        return cls([("real", str(l)) for l in labels])
+        return cls(labels)
 
     @classmethod
     def standard(cls, n: int) -> "PunctureConfig":
-        return cls.reals(str(i) for i in range(1, n + 1))
-
-    @classmethod
-    def doubled(cls, labels) -> "PunctureConfig":
-        """Each label i replaced by the close pair i, i' (i' right of i)."""
-        out = []
-        for l in labels:
-            out.append(("real", str(l)))
-            out.append(("real", f"{l}'"))
-        return cls(out)
+        return cls(range(1, n + 1))
 
     @property
     def n(self) -> int:
@@ -82,11 +58,9 @@ class PunctureConfig:
     def label_at(self, pos: int) -> str:
         return self._punctures[pos]
 
-    def is_all_real(self) -> bool:
-        return all(s[0] == "real" for s in self.slots)
-
     def __eq__(self, other):
-        return isinstance(other, PunctureConfig) and self.slots == other.slots
+        return (isinstance(other, PunctureConfig)
+                and self._punctures == other._punctures)
 
     def __repr__(self):
         return f"PunctureConfig({self._punctures})"
@@ -112,10 +86,6 @@ class Arc:
 
     def __hash__(self):
         return hash(self.realized)
-
-    def factor(self, exponent: int, tag: str, label: str = "") -> Factor:
-        return Factor(self.realized, exponent, tag,
-                      transport=self.transport_word, label=label)
 
     def __repr__(self):
         return f"Arc({notation(self) if self.crossings is not None else self.endpoints})"
@@ -151,11 +121,10 @@ def arc_from_crossings(cfg: PunctureConfig, a, b, crossings) -> Arc:
     for p in range(pb - 1, pa, -1):
         e = 1 if sides[cfg.label_at(p)] == BELOW else -1
         word.append(e * (p + 1))  # crossing at positions (p, p+1): letter p+1
-    T = Braid(cfg.n, word)
-    core = artin_gen(cfg.n, pa + 1)
-    realized = T * core * T.inverse()
+    Ti = Braid(cfg.n, word).inverse()
     # Factor convention stores twist = transport^-1 sigma transport
-    return Arc(cfg, (a, b), realized, T.inverse(), crossings=cl)
+    return Arc(cfg, (a, b), artin_gen(cfg.n, pa + 1).conjugate(Ti), Ti,
+               crossings=cl)
 
 
 def frame_arc(cfg: PunctureConfig, a, b) -> Arc:
@@ -208,15 +177,41 @@ def mirror(arc: Arc) -> Arc:
     return Arc(arc.config, arc.endpoints, realized, tw, crossings=crossings)
 
 
-def mirror_factor(f: Factor) -> Factor:
-    twist = mirror_braid(f.twist).inverse()
-    return Factor(twist, f.exponent, f.tag,
-                  transport=mirror_braid(f.transport), label=f.label)
+def pair_twists(cfg: PunctureConfig, pairs, power: int = 1) -> Braid:
+    """Product, in the given order, of Z_{ab}^power over adjacent pairs (a, b)."""
+    g = Braid(cfg.n)
+    for a, b in pairs:
+        pa, pb = sorted((cfg.position(a), cfg.position(b)))
+        if pb != pa + 1:
+            raise ValueError(f"pair {(a, b)} is not adjacent")
+        g = g * artin_gen(cfg.n, pb) ** power
+    return g
 
 
-def conj_factorization(f: Factorization) -> Factorization:
-    """Complex conjugation: mirror every factor and reverse their order."""
-    return Factorization(f.strands, [mirror_factor(x) for x in reversed(f.factors)])
+def composite_twist(cfg: PunctureConfig, labels) -> Braid:
+    """Half-twist of the sub-disk spanned by the named punctures.
+
+    Intruding punctures inside the span are dragged out to its right end by
+    positive crossings; the result is the half-twist of the then-contiguous
+    block, conjugated back by the drag (g . block . g^-1).
+    """
+    n = cfg.n
+    member = [False] * (n + 2)
+    for l in labels:
+        member[cfg.position(l) + 1] = True
+    word = []
+    while True:
+        occupied = [i for i in range(1, n + 1) if member[i]]
+        gaps = [q for q in range(occupied[0] + 1, occupied[-1]) if not member[q]]
+        if not gaps:
+            break
+        q = gaps[0]
+        while any(member[i] for i in range(q + 1, n + 1)):
+            word.append(q)
+            member[q], member[q + 1] = member[q + 1], member[q]
+            q += 1
+    block = block_half_twist(n, occupied[0], occupied[-1])
+    return block.conjugate(Braid(n, word).inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ tuple, the image under the standard projection B_n -> S_n (see its docstring).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 Letter = int  # +k or -k for sigma_k^{+-1}, 1 <= k <= n-1
 Perm = tuple  # tuple[int, ...]
@@ -25,17 +23,6 @@ Perm = tuple  # tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # permutation-braid primitives
-
-
-@lru_cache(maxsize=None)
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
-@lru_cache(maxsize=None)
-def delta_perm(n: int) -> Perm:
-    """The half-twist Delta as a permutation: full reversal."""
-    return tuple(range(n - 1, -1, -1))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -236,16 +223,6 @@ class _Normalizer:
             self._acc = [perm, list(perm)]
             self._acc_sign = -1
 
-    def push_delta_power(self, e: int) -> None:
-        self._flush()
-        if e >= 0:
-            for _ in range(e):
-                self._append_perm(list(self._delta), list(self._delta))
-        else:
-            self.d += e
-            if e % 2:
-                self.parity ^= 1
-
     def result(self):
         self._flush()
         if self.parity:
@@ -395,16 +372,17 @@ def artin_gen(n: int, k: int, sign: int = 1) -> Braid:
     return Braid(n, (k * sign,))
 
 
-def identity(n: int) -> Braid:
-    return Braid(n)
-
-
 def half_twist_word(n: int) -> list[Letter]:
     """A positive word for Delta_n: (s1)(s2 s1)...(s_{n-1} ... s1)."""
     word: list[Letter] = []
     for k in range(1, n):
         word.extend(range(k, 0, -1))
     return word
+
+
+def block_half_twist(n: int, a: int, b: int) -> Braid:
+    """Positive half-twist of the contiguous slot block a..b (1-based)."""
+    return Braid(n, [l + a - 1 for l in half_twist_word(b - a + 1)])
 
 
 def delta(n: int) -> Braid:

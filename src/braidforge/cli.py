@@ -14,10 +14,8 @@ import sys
 import time
 
 from . import __version__
-from .braid import Braid, artin_gen
 from .data import golden_json, golden_names
-from .degeneration import (build_tt, degree_audit, dt_notation, markers,
-                           phi8, tilde_Cj, tilde_Delta2)
+from .degeneration import build_tt, markers, phi8, tilde_Cj, tilde_Delta2
 from .factorization import Factorization
 from .lefschetz import golden_check
 from .regeneration import (conic_identity, conic_tables, hv_diff,
@@ -34,7 +32,7 @@ class RunManifest:
         self.data = {"command": command, "engine_version": __version__,
                      "seed": seed, "inputs": {}, "outputs": {},
                      "wall_time_s": None}
-        self._t0 = time.time()
+        self._t0 = time.perf_counter()
 
     def add_input(self, path: str, text: str):
         self.data["inputs"][path] = _sha256(text)
@@ -43,8 +41,26 @@ class RunManifest:
         self.data["outputs"][path] = _sha256(text)
 
     def finish(self) -> dict:
-        self.data["wall_time_s"] = round(time.time() - self._t0, 3)
+        self.data["wall_time_s"] = round(time.perf_counter() - self._t0, 3)
         return self.data
+
+
+class UsageError(Exception):
+    """Bad input: reported in one line with exit code 2."""
+
+
+def _load(path: str, manifest: RunManifest) -> Factorization:
+    """Read a factorization certificate; malformed input is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        fz = Factorization.loads(text)
+    except KeyError as e:
+        raise UsageError(f"{path}: missing field {e}") from None
+    except (OSError, ValueError, TypeError, AttributeError) as e:
+        raise UsageError(f"{path}: {e}") from None
+    manifest.add_input(path, text)
+    return fz
 
 
 def _write(path: str, text: str, manifest: RunManifest):
@@ -69,8 +85,8 @@ def cmd_degen(args) -> int:
     fz = phi8(g)
     rep = VerificationReport()
     if args.audit:
-        c_total = sum(tilde_Cj(g, j).degree for j in range(1, 10))
-        d_total = sum(tilde_Delta2(g, j).degree for j in range(1, 10))
+        c_total = sum(tilde_Cj(g, j).degree for j in g.vertices)
+        d_total = sum(tilde_Delta2(g, j).degree for j in g.vertices)
         rep.totals = {"parasitic": c_total, "vertex": d_total,
                       "total": fz.degree}
         rep.add("parasitic degree == 432", c_total == 432,
@@ -93,11 +109,7 @@ def cmd_regen(args) -> int:
     manifest = RunManifest("regen")
     g = build_tt()
     if args.infile:
-        with open(args.infile, encoding="utf-8") as fh:
-            text = fh.read()
-        manifest.add_input(args.infile, text)
-        given = Factorization.loads(text)
-        if given != phi8(g):
+        if _load(args.infile, manifest) != phi8(g):
             print("input factorization differs from the engine's "
                   "degenerated factorization", file=sys.stderr)
             return 1
@@ -138,21 +150,18 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     manifest = RunManifest("verify")
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
-    manifest.add_input(args.path, text)
-    fz = Factorization.loads(text)
-    rep = check_full_twist(fz)
+    rep = check_full_twist(_load(args.path, manifest))
     return _emit_report(rep, args, manifest)
 
 
 def cmd_relations(args) -> int:
     manifest = RunManifest("relations")
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
-    manifest.add_input(args.path, text)
-    fz = Factorization.loads(text)
-    rels = emit_relations(fz)
+    fz = _load(args.path, manifest)
+    try:
+        rels = emit_relations(fz)
+    except ValueError as e:
+        print(f"forge relations: {e}", file=sys.stderr)
+        return 1
     out = json.dumps(rels, indent=2)
     if args.out:
         _write(args.out, out, manifest)
@@ -167,7 +176,7 @@ def cmd_goldens(args) -> int:
     g = build_tt()
     # parasitic factor lists, string-level
     dt = golden_json("dt_list.json")
-    bad = [t for t in range(1, 28)
+    bad = [t for t in range(1, g.n_lines + 1)
            if [p for p in range(1, t) if g.disjoint(p, t)] != dt[str(t)]["i"]
            or (dt[str(t)]["i"]
                and list(markers(g, t)) != dt[str(t)]["markers"])]
@@ -197,8 +206,6 @@ def cmd_goldens(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="forge",
                                 description="exact braid-monodromy engine")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (advisory)")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("degen", help="build the degenerated factorization")
@@ -227,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="certify a factorization file")
     v.add_argument("path")
-    v.add_argument("--hurwitz-budget", type=int, default=10 ** 6)
     v.add_argument("--report")
     v.set_defaults(fn=cmd_verify)
 
@@ -248,7 +254,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as e:
+        print(f"forge {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

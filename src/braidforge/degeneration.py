@@ -22,28 +22,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arcs import BELOW, PunctureConfig, simple_arc
-from .braid import Braid, free_reduce, half_twist_word
+from .braid import Braid, block_half_twist, free_reduce
 from .factorization import COMPOSITE_TAG, Factor, Factorization
-
-CHAIN_SIDE = BELOW   # side of the chain arcs embedding a vertex's 6-disk
 
 
 class DegenGraph:
-    """27 lines over 9 six-points, with lex orders and local numerations."""
+    """27 lines over 9 six-points, with lex orders."""
 
-    __slots__ = ("lines", "planes", "_incident", "_local")
+    __slots__ = ("lines", "planes", "vertices", "_incident")
 
     def __init__(self, lines, planes):
         self.lines = tuple(lines)      # lines[t-1] = (alpha, beta), alpha < beta
         self.planes = tuple(planes)    # triangles as vertex triples
-        inc = {v: [] for v in range(1, 10)}
+        self.vertices = tuple(range(1, max(b for _, b in self.lines) + 1))
+        inc = {v: [] for v in self.vertices}
         for t, (a, b) in enumerate(self.lines, start=1):
             inc[a].append(t)
             inc[b].append(t)
         self._incident = {v: tuple(sorted(ls)) for v, ls in inc.items()}
-        self._local = {v: {t: k for k, t in enumerate(self._incident[v], start=1)}
-                       for v in range(1, 10)}
 
     @property
     def n_lines(self) -> int:
@@ -62,18 +58,8 @@ class DegenGraph:
         """The six lines through vertex v, in increasing global order."""
         return self._incident[v]
 
-    def local_map(self, v: int) -> dict:
-        """Global index -> local numeration 1..6 at vertex v."""
-        return dict(self._local[v])
-
     def disjoint(self, p: int, t: int) -> bool:
         return not set(self.lines[p - 1]) & set(self.lines[t - 1])
-
-    def to_json(self) -> dict:
-        return {"lines": [list(l) for l in self.lines],
-                "planes": [list(p) for p in self.planes],
-                "local_maps": {str(v): {str(t): k for t, k in self._local[v].items()}
-                               for v in range(1, 10)}}
 
 
 def build_tt() -> DegenGraph:
@@ -95,13 +81,8 @@ def build_tt() -> DegenGraph:
             planes.append((vnum(r, c), vnum(r + 1, c), vnum(r + 1, c + 1)))
     g = DegenGraph(lines, planes)
     assert g.n_lines == 27
-    assert all(len(g.incident_lines(v)) == 6 for v in range(1, 10))
+    assert all(len(g.incident_lines(v)) == 6 for v in g.vertices)
     return g
-
-
-def standard_config(g: DegenGraph) -> PunctureConfig:
-    """Typical-fiber punctures: one real point per line, in line order."""
-    return PunctureConfig.standard(g.n_lines)
 
 
 def markers(g: DegenGraph, t: int):
@@ -121,7 +102,7 @@ def _realization(g: DegenGraph):
     abscissas grow fast enough that the slope order (hence the fiber order far
     to the right) coincides with the global line order.
     """
-    a = {j: Fraction(4 ** j + j * j) for j in range(1, 10)}
+    a = {j: Fraction(4 ** j + j * j) for j in g.vertices}
     slope, icept = {}, {}
     for t, (al, be) in enumerate(g.lines, start=1):
         # line through (a_al, a_al^2) and (a_be, a_be^2)
@@ -142,7 +123,7 @@ def _events(g: DegenGraph):
     """
     a, slope, icept = _realization(g)
     events = []
-    for j in range(1, 10):
+    for j in g.vertices:
         events.append((a[j], "vertex", j))
     for t in range(1, g.n_lines + 1):
         for p in range(1, t):
@@ -180,7 +161,7 @@ def _sweep(g: DegenGraph):
         if pos != list(range(a0, a0 + k)):
             raise ValueError(f"event lines {lines} not consecutive in the fiber")
         records.append((kind, payload, a0, k, list(W)))
-        W = W + [l + a0 for l in half_twist_word(k)]
+        W = W + list(block_half_twist(n, a0 + 1, a0 + k).word)
         fiber[a0:a0 + k] = reversed(fiber[a0:a0 + k])
     records.reverse()
     return records
@@ -188,23 +169,21 @@ def _sweep(g: DegenGraph):
 
 def _record_factor(g: DegenGraph, n: int, kind, payload, a0, k, W) -> Factor:
     """The monodromy factor of one sweep record."""
-    conj = Braid(n, W)
+    ci = Braid(n, W).inverse()
     if kind == "cross":
         p, t = payload
-        twist = conj * Braid(n, [a0 + 1]) * conj.inverse()
-        return Factor(twist, 2, "node", transport=conj.inverse(),
-                      label=f"D{t}:{_pair_notation(g, p, t)}")
+        return Factor(Braid(n, [a0 + 1]), 2, "node",
+                      label=f"D{t}:{_pair_notation(g, p, t)}").conjugate(ci)
     lines = g.incident_lines(payload)
-    core = Braid(n, [l + a0 for l in half_twist_word(k)]) ** 2
-    twist = conj * core * conj.inverse()
+    core = block_half_twist(n, a0 + 1, a0 + k) ** 2
     label = f"V{payload}:Delta2<" + ",".join(str(t) for t in lines) + ">"
-    return Factor(twist, 1, COMPOSITE_TAG, transport=conj.inverse(), label=label)
+    return Factor(core, 1, COMPOSITE_TAG, label=label).conjugate(ci)
 
 
 def _paper_order(g: DegenGraph):
     """Keys of the 225 factors in the standard regrouped order."""
     keys = []
-    for j in range(1, 10):
+    for j in g.vertices:
         for t in range(1, g.n_lines + 1):
             if g.small_vertex(t) == j:
                 for p in range(1, t):
@@ -322,24 +301,7 @@ def dt_notation(g: DegenGraph, t: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# embeddings and audits
-
-
-def chain_embed(cfg: PunctureConfig, labels, word, side: str = CHAIN_SIDE) -> Braid:
-    """Image of a local braid word under the sub-disk embedding along `labels`.
-
-    The sub-disk is a neighborhood of the chain of arcs joining consecutive
-    labels on the given side; local generator k maps to the half-twist of the
-    k-th chain arc.
-    """
-    labels = [str(l) for l in labels]
-    bands = [simple_arc(cfg, labels[k], labels[k + 1], side=side).realized.word
-             for k in range(len(labels) - 1)]
-    out: list[int] = []
-    for k in word:
-        w = bands[abs(k) - 1]
-        out.extend(w if k > 0 else [-x for x in reversed(w)])
-    return Braid(cfg.n, out)
+# audits
 
 
 def degree_audit(f: Factorization, expected: int) -> dict:
@@ -357,17 +319,18 @@ def degree_audit(f: Factorization, expected: int) -> dict:
 def check_pair_partition(g: DegenGraph) -> bool:
     """Every line pair is parasitic in exactly one D_t or meets at one vertex."""
     seen = {}
-    for t in range(1, 28):
+    n = g.n_lines
+    for t in range(1, n + 1):
         for p in range(1, t):
             if g.disjoint(p, t):
                 seen[(p, t)] = seen.get((p, t), 0) + 1
     meet = {}
-    for v in range(1, 10):
+    for v in g.vertices:
         inc = g.incident_lines(v)
         for i, p in enumerate(inc):
             for t in inc[i + 1:]:
                 meet[(p, t)] = meet.get((p, t), 0) + 1
-    allpairs = {(p, t) for t in range(1, 28) for p in range(1, t)}
+    allpairs = {(p, t) for t in range(1, n + 1) for p in range(1, t)}
     if set(seen) | set(meet) != allpairs or set(seen) & set(meet):
         return False
     return all(c == 1 for c in seen.values()) and all(c == 1 for c in meet.values())

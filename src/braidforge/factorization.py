@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .braid import Braid, artin_gen, delta_squared, free_reduce, from_text, to_text
+from .braid import Braid, artin_gen, delta_squared, free_reduce, from_text
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
 COMPOSITE_TAG = "composite"
@@ -57,9 +57,8 @@ class Factor:
         if self.twist.degree != 1:
             return False
         # undo the transport; what remains must be one Artin generator
-        core = self.transport * self.twist * self.transport.inverse()
-        perm = core.permutation()
-        moved = [i for i in range(self.n) if perm[i] != i]
+        core = self.twist.conjugate(self.transport.inverse())
+        moved = [i for i, p in enumerate(core.permutation()) if p != i]
         if len(moved) != 2 or moved[1] != moved[0] + 1:
             return False
         return core == artin_gen(self.n, moved[0] + 1)
@@ -87,6 +86,8 @@ class Factor:
 
     @classmethod
     def from_json(cls, n: int, obj: dict) -> "Factor":
+        if type(obj["exp"]) is not int:
+            raise ValueError(f"exponent must be an integer, got {obj['exp']!r}")
         transport = from_text(n, obj.get("transport", ""))
         return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
                    transport=transport, label=obj.get("label", ""))
@@ -148,9 +149,6 @@ class Factorization:
     def __repr__(self):
         return f"Factorization(B_{self.strands}, {len(self.factors)} factors, deg {self.degree})"
 
-    def labels(self):
-        return [f.label for f in self.factors]
-
     def to_json(self) -> dict:
         return {"strands": self.strands,
                 "factors": [f.to_json() for f in self.factors]}
@@ -161,15 +159,13 @@ class Factorization:
     @classmethod
     def from_json(cls, obj: dict) -> "Factorization":
         n = obj["strands"]
+        if type(n) is not int:
+            raise ValueError(f"strand count must be an integer, got {n!r}")
         return cls(n, [Factor.from_json(n, f) for f in obj["factors"]])
 
     @classmethod
     def loads(cls, text: str) -> "Factorization":
         return cls.from_json(json.loads(text))
-
-
-def product(f: Factorization) -> Braid:
-    return f.product()
 
 
 def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factorization:
@@ -190,10 +186,6 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     else:
         raise ValueError("direction must be left or right")
     return Factorization(f.strands, fs)
-
-
-def conjugate_factorization(f: Factorization, g: Braid) -> Factorization:
-    return f.conjugate(g)
 
 
 def conj_factorization(f: Factorization) -> Factorization:

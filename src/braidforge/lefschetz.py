@@ -21,30 +21,20 @@ other side of the singularities, rotates the resulting skeletons by a half
 turn of the whole disk, and conjugates them by the inverse of the product of
 the designated pair half-twists; the result is appended to the front factors.
 
-All orientation conventions below (conjugation direction, delta composition
-order, pair-transit crossing signs) are fixed by calibration against the
-worked tables shipped in goldens/tables; see tests/test_lefschetz.py.
+Row values are conjugates x^g = g^-1 x g (`Braid.conjugate`); the golden
+replay reads the printed rows with the regeneration module's parser.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
-from .arcs import ABOVE, BELOW, PunctureConfig, simple_arc
-from .braid import Braid, artin_gen, delta, half_twist_word
+from .arcs import PunctureConfig, pair_twists
+from .braid import Braid, artin_gen, block_half_twist, delta
 from .factorization import COMPOSITE_TAG, Factor, Factorization
+from .regeneration import entry_value
 
 EXP_TAG = {1: "branch", 2: "node", 3: "cusp", 4: "tangent"}
-
-# --- conventions (calibrated; do not change without re-running the goldens) --
-CONJ_LEFT = True      # transport of h by g is g.h.g^-1 (False: g^-1.h.g)
-RECENT_FIRST = False  # conjugator product lists the oldest delta first
-ROTATION_SIGN = 1     # half-turn of the disk is delta (not its inverse)
-EXPECT_LEFT = True    # printed (A)^B means B.A.B^-1 (False: B^-1.A.B)
-EXPECT_SEQ_FWD = False  # printed (A)^{BC} applies C before B
-COMPOSITE_SIGN = 1    # side on which block intruders are dragged out
-COMPOSITE_FLIP = False  # orientation of the intruder-dragging transport
 
 
 class LefschetzRow:
@@ -95,11 +85,6 @@ class LefschetzTable:
         return cls.from_json(json.loads(text))
 
 
-def _block_half_twist(n: int, a: int, b: int) -> Braid:
-    """Positive half-twist of the contiguous slot block a..b (1-based)."""
-    return Braid(n, [l + a - 1 for l in half_twist_word(b - a + 1)])
-
-
 def _ascend(n: int, k: int) -> Braid:
     """Real pair at (k, k+1) leaves the real line and hovers at the end.
 
@@ -128,18 +113,14 @@ def _descend(n: int, k: int) -> Braid:
 
 def _delta_braid(n: int, kind: str, at) -> Braid:
     if kind == "half":
-        return _block_half_twist(n, at[0], at[1])
+        return block_half_twist(n, at[0], at[1])
     if kind == "full":
-        return _block_half_twist(n, at[0], at[1]) ** 2
+        return block_half_twist(n, at[0], at[1]) ** 2
     if kind == "ri2":
         return _ascend(n, at)
     if kind == "i2r":
         return _descend(n, at)
     raise ValueError(f"unknown delta kind {kind!r}")
-
-
-def _conjugate(h: Braid, g: Braid) -> Braid:
-    return g * h * g.inverse() if CONJ_LEFT else g.inverse() * h * g
 
 
 def monodromy_from_table(t: LefschetzTable) -> Factorization:
@@ -152,34 +133,24 @@ def monodromy_from_table(t: LefschetzTable) -> Factorization:
             # evaluated on the far side of the branch point: the pair is
             # still real at (k, k+1) and the row's own delta transports it
             h = artin_gen(n, row.delta_at)
-            g = d * acc if RECENT_FIRST else acc * d
+            g = acc * d
         else:
             a, b = row.block
-            h = _block_half_twist(n, a, b)
+            h = block_half_twist(n, a, b)
             g = acc
-        twist = _conjugate(h, g)
         if row.block != "P2" and row.block[1] - row.block[0] > 1:
-            tag, exp = COMPOSITE_TAG, row.eps
+            tag = COMPOSITE_TAG
         else:
-            tag, exp = EXP_TAG[row.eps], row.eps
-        transport = g.inverse() if CONJ_LEFT else g
-        factors.append(Factor(twist, exp, tag, transport=transport,
-                              label=f"row{row.j}"))
-        acc = d * acc if RECENT_FIRST else acc * d
+            tag = EXP_TAG[row.eps]
+        factors.append(Factor(h, row.eps, tag,
+                              label=f"row{row.j}").conjugate(g.inverse()))
+        acc = acc * d
     return Factorization(n, factors)
 
 
 def pair_half_twists(t: LefschetzTable, pairs) -> Braid:
     """Product of the positive half-twists of the named label pairs."""
-    n = t.strands
-    pos = {l: i + 1 for i, l in enumerate(t.labels)}
-    g = Braid(n)
-    for a, b in pairs:
-        pa, pb = pos[str(a)], pos[str(b)]
-        if abs(pa - pb) != 1:
-            raise ValueError(f"pair {(a, b)} is not adjacent at the base")
-        g = g * artin_gen(n, min(pa, pb))
-    return g
+    return pair_twists(PunctureConfig.reals(t.labels), pairs)
 
 
 def two_sided_monodromy(front: LefschetzTable, back: LefschetzTable,
@@ -188,108 +159,10 @@ def two_sided_monodromy(front: LefschetzTable, back: LefschetzTable,
     conjugated by rho^-1 (the product of the designated pair half-twists)."""
     if front.strands != back.strands:
         raise ValueError("strand mismatch between the two tables")
-    n = front.strands
-    out = list(monodromy_from_table(front).factors)
-    rot = delta(n) ** ROTATION_SIGN
     # transport by the rotation first, then by rho^-1
-    conj = rho.inverse() * rot if CONJ_LEFT else rot * rho.inverse()
-    for f in monodromy_from_table(back).factors:
-        tw = _conjugate(f.twist, conj)
-        tr = conj.inverse() if CONJ_LEFT else conj
-        out.append(Factor(tw, f.exponent, f.tag,
-                          transport=f.transport * tr, label=f.label))
-    return Factorization(n, out)
-
-
-# ---------------------------------------------------------------------------
-# golden notation: the printed factor lists of the worked tables.
-#
-# Atoms:   Z2[a,b]  plain arc (adjacent punctures), exponent 2
-#          Zu4[a,b] arc below the intermediate punctures, exponent 4
-#          Zb2[a,b] arc above, Zum2/Zm2/Zbm2 negative exponents
-#          D2<a,b,c> full twist of the punctures a,b,c (block factor)
-# Factors: ATOM or ATOM^{ATOM ATOM ... | rho-}, conjugators left to right.
-
-_Z_RE = re.compile(r"Z(u|b)?(m)?(\d)\[([^\]]+)\]$")
-_D_RE = re.compile(r"D(\d)<([^>]+)>$")
-
-
-def _composite_twist(cfg: PunctureConfig, labels) -> Braid:
-    """Half-twist of the sub-disk spanned by the named punctures.
-
-    Intruding punctures inside the span are dragged out to its right end,
-    passing the members on the calibrated side; the result is the conjugated
-    half-twist of the then-contiguous block.
-    """
-    n = cfg.n
-    member = [False] * (n + 2)
-    for l in labels:
-        member[cfg.position(str(l)) + 1] = True
-    word = []
-    while True:
-        occupied = [i for i in range(1, n + 1) if member[i]]
-        first, last = occupied[0], occupied[-1]
-        gaps = [q for q in range(first + 1, last) if not member[q]]
-        if not gaps:
-            break
-        q = gaps[0]
-        while any(member[i] for i in range(q + 1, n + 1)):
-            word.append(COMPOSITE_SIGN * q)
-            member[q], member[q + 1] = member[q + 1], member[q]
-            q += 1
-    occupied = [i for i in range(1, n + 1) if member[i]]
-    block = _block_half_twist(n, occupied[0], occupied[-1])
-    g = Braid(n, word)
-    if COMPOSITE_FLIP:
-        g = g.inverse()
-    return _conjugate(block, g)
-
-
-def _parse_atom(cfg: PunctureConfig, text: str):
-    """Returns (twist braid, exponent)."""
-    m = _D_RE.match(text)
-    if m:
-        return _composite_twist(cfg, m.group(2).split(",")), int(m.group(1))
-    m = _Z_RE.match(text)
-    if not m:
-        raise ValueError(f"bad golden atom {text!r}")
-    side = ABOVE if m.group(1) == "b" else BELOW
-    exp = int(m.group(3)) * (-1 if m.group(2) else 1)
-    a, b = (s.strip() for s in m.group(4).split(","))
-    return simple_arc(cfg, a, b, side=side).realized, exp
-
-
-def parse_golden(labels, text: str, rho: Braid | None = None):
-    """Parse a printed factor into (twist braid, exponent)."""
-    cfg = PunctureConfig.reals(labels)
-    text = text.strip()
-    if text.startswith("(") and ")^" in text:
-        base, conj = text[1:].rsplit(")^", 1)
-    elif "^" in text:
-        base, conj = text.split("^", 1)
-    else:
-        base, conj = text, ""
-    tw, exp = _parse_atom(cfg, base.strip())
-    tokens = conj.strip().strip("{}").split()
-    gs = []
-    for tok in tokens:
-        if tok == "rho-":
-            if rho is None:
-                raise ValueError("rho conjugator used without a rho braid")
-            gs.append(rho.inverse())
-        else:
-            b, e = _parse_atom(cfg, tok)
-            gs.append(b ** e)
-    if not EXPECT_SEQ_FWD:
-        gs.reverse()
-    g = Braid(cfg.n)
-    for x in gs:
-        g = g * x
-    return (_conjugate_expected(tw, g), exp)
-
-
-def _conjugate_expected(h: Braid, g: Braid) -> Braid:
-    return g * h * g.inverse() if EXPECT_LEFT else g.inverse() * h * g
+    conj = rho.inverse() * delta(front.strands)
+    return (monodromy_from_table(front)
+            + monodromy_from_table(back).conjugate(conj.inverse()))
 
 
 def golden_check(obj) -> list:
@@ -301,36 +174,31 @@ def golden_check(obj) -> list:
     conjugated by rho^-1 (the tail of the two-sided monodromy) against the
     same strings with a trailing rho^-1.
     """
-    labels = obj["labels"]
     front = LefschetzTable.from_json(obj)
     out = []
 
-    positional = [str(i + 1) for i in range(front.strands)]
+    labelled = PunctureConfig.reals(front.labels)
+    positional = PunctureConfig.standard(front.strands)
 
-    def compare(stage, factors, texts, rho=None, post=None, labs=None):
+    def compare(stage, factors, texts, cfg, post=None):
         for i, (f, text) in enumerate(zip(factors, texts)):
-            tw, exp = parse_golden(labs or labels, text, rho)
-            want = tw ** exp
+            want = entry_value(cfg, text)
             if post is not None:
                 want = post(want)
             out.append((f"{obj['name']} {stage} row {i + 1}",
                         f.braid() == want))
 
-    compare("front", monodromy_from_table(front).factors, obj["expected"])
+    compare("front", monodromy_from_table(front), obj["expected"], labelled)
     if obj.get("back_rows"):
         back = LefschetzTable.from_json(
             {"strands": obj["strands"], "labels": obj["labels"],
              "rows": obj["back_rows"]})
-        compare("far", monodromy_from_table(back).factors,
-                obj["back_expected_far"], labs=positional)
+        far = monodromy_from_table(back)
+        compare("far", far, obj["back_expected_far"], positional)
+        compare("rotated", far.conjugate(delta(front.strands).inverse()),
+                obj["back_expected_rotated"], positional)
         rho = pair_half_twists(front, obj["rho"])
-        rot = delta(front.strands) ** ROTATION_SIGN
-        rotated = [Factor(_conjugate(f.twist, rot), f.exponent, f.tag)
-                   for f in monodromy_from_table(back).factors]
-        compare("rotated", rotated, obj["back_expected_rotated"],
-                labs=positional)
         final = two_sided_monodromy(front, back, rho).factors[len(front.rows):]
-        ri = rho.inverse()
-        compare("final", final, obj["back_expected_rotated"],
-                post=lambda b: _conjugate(b, ri), labs=positional)
+        compare("final", final, obj["back_expected_rotated"], positional,
+                post=lambda b: b.conjugate(rho))
     return out

@@ -18,8 +18,9 @@ Composition convention.  Printed factor lists are read RIGHT TO LEFT: the
 value of the list [p_1, ..., p_k] is p_k ... p_2 p_1.  All public
 Factorizations returned by this module store their factors in composition
 order (so Factorization.product() is the plain left-to-right product); the
-printed order is the reverse.  A printed conjugation (A)^{B C} means
-g.A.g^-1 with g = C.B (same calibration as the local monodromy tables).
+printed order is the reverse (`_from_printed`).  A printed conjugation
+(A)^{B C} means g.A.g^-1 = A^(g^-1) with g = C.B; the same parser reads the
+local monodromy tables.
 
 Arc conventions (frozen; every choice is pinned by the exact splitting
 identities Z^2_{ii',j} = Z^2_{i'j} Z^2_{ij} etc., which the doubled local
@@ -39,11 +40,11 @@ from __future__ import annotations
 
 import re
 
-from .arcs import ABOVE, BELOW, PunctureConfig, arc_from_crossings, simple_arc
-from .braid import Braid, artin_gen, delta_squared
+from .arcs import (ABOVE, BELOW, PunctureConfig, arc_from_crossings,
+                   composite_twist, pair_twists, simple_arc)
+from .braid import Braid, artin_gen, block_half_twist, delta_squared
 from .data import golden_json
 from .factorization import Factor, Factorization
-from .lefschetz import _block_half_twist
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +137,7 @@ def _block_delta2(n: int, a: int, k: int) -> Braid:
     """Full twist of the k adjacent strands starting at slot a."""
     if k == 1:
         return Braid(n)
-    return _block_half_twist(n, a, a + k - 1) ** 2
+    return block_half_twist(n, a, a + k - 1) ** 2
 
 
 def band_full_twist(cfg: PunctureConfig, end_a, end_b, side: str = BELOW) -> Braid:
@@ -157,18 +158,12 @@ def band_full_twist(cfg: PunctureConfig, end_a, end_b, side: str = BELOW) -> Bra
     core = (_block_delta2(n, a0, p + q)
             * _block_delta2(n, a0, p).inverse()
             * _block_delta2(n, a0 + p, q).inverse())
-    return T * core * T.inverse()
+    return core.conjugate(T.inverse())
 
 
 def _pair_rho(cfg: PunctureConfig, label: str) -> Braid:
     """Half twist Z_{ll'} of a close pair (adjacent by construction)."""
-    a = _ends_slots(cfg, (label, f"{label}'"))
-    return artin_gen(cfg.n, a[0])
-
-
-def _conj(h: Braid, g: Braid) -> Braid:
-    """Value of the printed conjugation: g . h . g^-1."""
-    return g * h * g.inverse()
+    return pair_twists(cfg, [(label, f"{label}'")])
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +249,10 @@ def cusp_factors(cfg: PunctureConfig, end_a, end_b,
         a, b = single, pair[0]          # near member is the left one
     base = _arc2(cfg, a, b, side)
     rho = _pair_rho(cfg, pair[0].rstrip("'"))
-    return [Factor(_conj(base, rho), 3, "cusp", label=f"{label}Z3[{a},{b}]_rho"),
+    return [Factor(base.conjugate(rho.inverse()), 3, "cusp",
+                   label=f"{label}Z3[{a},{b}]_rho"),
             Factor(base, 3, "cusp", label=f"{label}Z3[{a},{b}]"),
-            Factor(_conj(base, rho.inverse()), 3, "cusp",
+            Factor(base.conjugate(rho), 3, "cusp",
                    label=f"{label}Z3[{a},{b}]_rho-")]
 
 
@@ -267,30 +263,30 @@ def cusp_factors(cfg: PunctureConfig, end_a, end_b,
 class DoublingMap:
     """Doubling of a puncture configuration: every i gains a close i'."""
 
-    __slots__ = ("base", "doubled", "stage")
+    __slots__ = ("base", "doubled")
 
-    def __init__(self, base_labels, stage=None):
+    def __init__(self, base_labels):
         self.base = PunctureConfig.reals(base_labels)
         self.doubled = PunctureConfig.reals(doubled_labels(base_labels))
-        self.stage = dict(stage or {})
         if self.doubled.n != 2 * self.base.n:
             raise ValueError("doubling must exactly double the punctures")
 
 
 def _factor_ends(dm: DoublingMap, f: Factor):
     """Base labels of the two punctures a half-twist factor exchanges."""
-    perm = list(range(f.twist.n))
-    for k in f.twist.word:
-        a = abs(k) - 1
-        perm[a], perm[a + 1] = perm[a + 1], perm[a]
-    moved = [i for i, p in enumerate(perm) if p != i]
+    moved = [i for i, p in enumerate(f.twist.permutation()) if p != i]
     if len(moved) != 2:
         raise ValueError("factor twist is not a half twist of two punctures")
     return dm.base.label_at(moved[0]), dm.base.label_at(moved[1])
 
 
+def _from_printed(n: int, printed) -> Factorization:
+    """A printed factor list (read right to left) in composition order."""
+    return Factorization(n, reversed(printed))
+
+
 def _rule_result(dm: DoublingMap, printed) -> Factorization:
-    return Factorization(dm.doubled.n, list(reversed(printed)))
+    return _from_printed(dm.doubled.n, printed)
 
 
 def regen_rule1(f: Factor, dm: DoublingMap) -> Factorization:
@@ -332,13 +328,15 @@ def regen_rule3(f: Factor, dm: DoublingMap) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# printed-notation parser for the regenerated vocabulary
+# the printed Z/D notation (regenerated lists and local monodromy tables)
 #
 # Atom:   Z | Zu (below) | Zb (above), optional m (negative), exponent digit,
-#         [END,END] with END = "3" | "3'" | "33'" (close pair).
+#         [END,END] with END = "3" | "3'" | "33'" (close pair);
+#         or D<digit><a,b,c,...>, the composite twist of the named punctures.
 # Factor: ATOM or ATOM^{TOK TOK ...}; TOK is an atom, "rho" or "rho-".
 
 _RATOM = re.compile(r"Z(u|b)?(m)?(\d)\[([^,\]]+),([^,\]]+)\]$")
+_DATOM = re.compile(r"D(\d)<([^>]+)>$")
 
 
 def _parse_end(tok: str):
@@ -349,43 +347,42 @@ def _parse_end(tok: str):
     return tok
 
 
-def _revprod(cfg_n: int, factors) -> Braid:
-    """Value of a printed factor list (rightmost factor applied first)."""
-    val = Braid(cfg_n)
-    for f in reversed(factors):
-        val = val * f.braid()
-    return val
-
-
-def parse_regen_atom(cfg: PunctureConfig, text: str):
-    """Returns (value braid, exponent, side, end_a, end_b)."""
-    m = _RATOM.match(text.strip())
+def _atom_parts(text: str):
+    """(side, exponent, end_a, end_b) of a printed Z atom."""
+    m = _RATOM.match(text)
     if not m:
-        raise ValueError(f"bad regenerated atom {text!r}")
+        raise ValueError(f"bad printed atom {text!r}")
     side = ABOVE if m.group(1) == "b" else BELOW
     exp = int(m.group(3)) * (-1 if m.group(2) else 1)
-    ea, eb = _parse_end(m.group(4)), _parse_end(m.group(5))
+    return side, exp, _parse_end(m.group(4)), _parse_end(m.group(5))
+
+
+def _revprod(cfg_n: int, factors) -> Braid:
+    """Value of a printed factor list (rightmost factor applied first)."""
+    return _from_printed(cfg_n, factors).product()
+
+
+def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
+    """Value of one printed atom."""
+    text = text.strip()
+    m = _DATOM.match(text)
+    if m:
+        return composite_twist(cfg, m.group(2).split(",")) ** int(m.group(1))
+    side, exp, ea, eb = _atom_parts(text)
     fat_a, fat_b = not isinstance(ea, str), not isinstance(eb, str)
     if abs(exp) == 2 and (fat_a or fat_b):
         # any fat full twist: value is the (reversed) product of its factors
         val = _revprod(cfg.n, node_factors(cfg, ea, eb, side))
-        if exp < 0:
-            val = val.inverse()
-    elif not fat_a and not fat_b:
-        val = _arc2(cfg, ea, eb, side) ** exp
-    else:
-        val = _revprod(cfg.n, atom_factors(cfg, text))
-    return val, exp, side, ea, eb
+        return val.inverse() if exp < 0 else val
+    if not fat_a and not fat_b:
+        return _arc2(cfg, ea, eb, side) ** exp
+    return _revprod(cfg.n, atom_factors(cfg, text))
 
 
 def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
     """Expand one printed atom into its factor list (printed order)."""
-    m = _RATOM.match(text.strip())
-    if not m:
-        raise ValueError(f"bad regenerated atom {text!r}")
-    side = ABOVE if m.group(1) == "b" else BELOW
-    exp = int(m.group(3)) * (-1 if m.group(2) else 1)
-    ea, eb = _parse_end(m.group(4)), _parse_end(m.group(5))
+    text = text.strip()
+    side, exp, ea, eb = _atom_parts(text)
     fat = not isinstance(ea, str) or not isinstance(eb, str)
     if exp == 1:
         # a single branch factor; the long arc Z_{ij'} passes the partner of
@@ -393,14 +390,14 @@ def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
         cross = [(p, ABOVE if p == f"{ea}'" else BELOW)
                  for p in _between(cfg, ea, eb)]
         tw = arc_from_crossings(cfg, ea, eb, cross).realized
-        return [Factor(tw, 1, "branch", label=f"{label}{text.strip()}")]
+        return [Factor(tw, 1, "branch", label=f"{label}{text}")]
     if exp == 2:
         return node_factors(cfg, ea, eb, side, label)
     if exp == 3 and fat:
         return cusp_factors(cfg, ea, eb, side, label)
     if exp == 3:
         return [Factor(_arc2(cfg, ea, eb, side), 3, "cusp",
-                       label=f"{label}{text.strip()}")]
+                       label=f"{label}{text}")]
     raise ValueError(f"atom {text!r} cannot stand as a factor")
 
 
@@ -413,19 +410,13 @@ def _conjugator(cfg: PunctureConfig, tokens, rho: Braid | None) -> Braid:
                 raise ValueError("rho token without a rho braid")
             v = rho if tok == "rho" else rho.inverse()
         else:
-            v = parse_regen_atom(cfg, tok)[0]
+            v = parse_regen_atom(cfg, tok)
         g = v * g
     return g
 
 
-def _conj_factor(f: Factor, g: Braid) -> Factor:
-    return Factor(_conj(f.twist, g), f.exponent, f.tag,
-                  transport=f.transport * g.inverse(), label=f.label)
-
-
-def entry_factors(cfg: PunctureConfig, text: str,
-                  rho: Braid | None = None, label: str = "") -> list:
-    """Expand a printed factor ATOM^{...} (printed order)."""
+def _split_entry(text: str):
+    """(atom, conjugator tokens) of a printed factor ATOM^{...}."""
     text = text.strip()
     if text.startswith("(") and ")^" in text:
         base, conj = text[1:].rsplit(")^", 1)
@@ -433,12 +424,25 @@ def entry_factors(cfg: PunctureConfig, text: str,
         base, conj = text.split("^", 1)
     else:
         base, conj = text, ""
-    factors = atom_factors(cfg, base.strip(), label)
-    tokens = conj.strip().strip("{}").split()
+    return base.strip(), conj.strip().strip("{}").split()
+
+
+def entry_value(cfg: PunctureConfig, text: str, rho: Braid | None = None) -> Braid:
+    """Value of a printed factor ATOM^{...}: g . A . g^-1."""
+    base, tokens = _split_entry(text)
+    g = _conjugator(cfg, tokens, rho)
+    return parse_regen_atom(cfg, base).conjugate(g.inverse())
+
+
+def entry_factors(cfg: PunctureConfig, text: str,
+                  rho: Braid | None = None, label: str = "") -> list:
+    """Expand a printed factor ATOM^{...} (printed order)."""
+    base, tokens = _split_entry(text)
+    factors = atom_factors(cfg, base, label)
     if not tokens:
         return factors
-    g = _conjugator(cfg, tokens, rho)
-    return [_conj_factor(f, g) for f in factors]
+    gi = _conjugator(cfg, tokens, rho).inverse()
+    return [f.conjugate(gi) for f in factors]
 
 
 def formula_factors(labels, entries, rho_pairs=None,
@@ -450,19 +454,16 @@ def formula_factors(labels, entries, rho_pairs=None,
     degree-1 entry (the printed lists omit it).
     """
     cfg = PunctureConfig.reals(labels)
-    rho = None
-    if rho_pairs:
-        rho = Braid(cfg.n)
-        for a, b in rho_pairs:
-            rho = rho * artin_gen(cfg.n, min(_ends_slots(cfg, (str(a), str(b)))))
-    gb = _conjugator(cfg, list(branch_conj), rho) if branch_conj else None
+    rho = pair_twists(cfg, rho_pairs) if rho_pairs else None
+    gbi = (_conjugator(cfg, list(branch_conj), rho).inverse()
+           if branch_conj else None)
     printed = []
     for e in entries:
         fs = entry_factors(cfg, e, rho)
-        if gb is not None and len(fs) == 1 and fs[0].exponent == 1 and "^" not in e:
-            fs = [_conj_factor(fs[0], gb)]
+        if gbi is not None and len(fs) == 1 and fs[0].exponent == 1 and "^" not in e:
+            fs = [fs[0].conjugate(gbi)]
         printed.extend(fs)
-    return Factorization(cfg.n, list(reversed(printed)))
+    return _from_printed(cfg.n, printed)
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +479,13 @@ def conic_monodromy(obj) -> Factorization:
 
     Factors come back in composition order (printed order reversed).
     """
-    labels = obj["labels"]
-    cfg = PunctureConfig.reals(labels)
-    rho = Braid(cfg.n)
-    for a, b in obj["rho"]:
-        rho = rho * artin_gen(cfg.n, min(_ends_slots(cfg, (str(a), str(b)))))
-    gb = (_conjugator(cfg, obj["branch_conj"], rho)
-          if obj.get("branch_conj") else None)
-    f1 = []
-    for e in obj["fhat1"]:
-        fs = entry_factors(cfg, e, rho)
-        if gb is not None and len(fs) == 1 and fs[0].exponent == 1 and "^" not in e:
-            fs = [_conj_factor(fs[0], gb)]
-        f1.extend(fs)
-    ri = rho.inverse()
-    f2 = [Factor(_conj(f.twist, ri), f.exponent, f.tag,
-                 transport=f.transport * rho,
-                 label=f"{f.label}^rho-") for f in f1]
-    return Factorization(cfg.n, list(reversed(f1 + f2)))
+    f1 = formula_factors(obj["labels"], obj["fhat1"], obj["rho"],
+                         obj.get("branch_conj", ()))
+    rho = pair_twists(PunctureConfig.reals(obj["labels"]), obj["rho"])
+    f2 = f1.conjugate(rho)
+    for f in f2:
+        f.label += "^rho-"
+    return f2 + f1
 
 
 def conic_identity(obj) -> bool:
@@ -504,12 +494,9 @@ def conic_identity(obj) -> bool:
     This is the printed identity Delta^2 = F^_1 F^_2 . prod Z^2_{ii'} read
     right to left (the pair twists commute with each other).
     """
-    fz = conic_monodromy(obj)
     cfg = PunctureConfig.reals(obj["labels"])
-    tail = Braid(cfg.n)
-    for a, b in obj["infinity"]:
-        tail = tail * artin_gen(cfg.n, min(_ends_slots(cfg, (str(a), str(b))))) ** 2
-    return tail * fz.product() == delta_squared(cfg.n)
+    tail = pair_twists(cfg, obj["infinity"], 2)
+    return tail * conic_monodromy(obj).product() == delta_squared(cfg.n)
 
 
 def conic_tables() -> dict:
@@ -527,7 +514,7 @@ def _branch_assignment(g) -> dict:
     always exists and is certified by the returned assignment).
     """
     assign: dict[int, int] = {}          # line -> chosen vertex
-    count = {v: 0 for v in range(1, 10)}
+    count = {v: 0 for v in g.vertices}
 
     def augment(t, seen):
         for v in g.endpoints(t):
@@ -546,14 +533,14 @@ def _branch_assignment(g) -> dict:
         if not augment(t, {t}):
             raise ValueError("no balanced line orientation exists")
     lines_of = {v: tuple(sorted(t for t, v2 in assign.items() if v2 == v))
-                for v in range(1, 10)}
+                for v in g.vertices}
     assert all(len(ls) == 3 for ls in lines_of.values())
     return lines_of
 
 
 def _vertex_split(f: Factor, n: int) -> list:
     """A vertex full-twist factor split into 30 transported frame letters."""
-    core = f.transport * f.twist * f.transport.inverse()
+    core = f.twist.conjugate(f.transport.inverse())
     inf, perms = core.normal_form()
     support = sorted({i for p in perms for i in range(n) if p[i] != i})
     if (inf != 0 or len(support) != 6
@@ -561,14 +548,9 @@ def _vertex_split(f: Factor, n: int) -> list:
             or core != _block_delta2(n, support[0] + 1, 6)):
         raise ValueError("vertex factor core is not a six-strand block twist")
     a0 = support[0] + 1
-    ti = f.transport.inverse()
-    out = []
-    for _round in range(6):
-        for k in range(a0, a0 + 5):
-            tw = ti * artin_gen(n, k) * f.transport
-            out.append(Factor(tw, 1, "branch", transport=f.transport,
-                              label=f"{f.label}|H{k - a0 + 1}"))
-    return out
+    return [Factor(artin_gen(n, k), 1, "branch",
+                   label=f"{f.label}|H{k - a0 + 1}").conjugate(f.transport)
+            for _round in range(6) for k in range(a0, a0 + 5)]
 
 
 def regenerate(g) -> Factorization:
@@ -579,19 +561,15 @@ def regenerate(g) -> Factorization:
     (degree 4 each), and followed by the three deferred pair twists of the
     lines assigned to the vertex, transported through the cabled suffix.
     """
-    from .degeneration import phi8, tilde_Cj, tilde_Delta2
+    from .degeneration import tilde_Cj, tilde_Delta2
 
     n = g.n_lines
     lines_of = _branch_assignment(g)
-    groups = []
-    for j in range(1, 10):
-        groups.append((j, tilde_Cj(g, j), tilde_Delta2(g, j)))
+    groups = [(j, tilde_Cj(g, j), tilde_Delta2(g, j)) for j in g.vertices]
     # suffix products in the degenerated group, vertex j exclusive
-    suffix = {9: Braid(n)}
-    for j in range(9, 0, -1):
-        _, cj, dj = groups[j - 1]
-        s = cj.product() * dj.product() * suffix[j]
-        suffix[j - 1] = s
+    suffix = {g.vertices[-1]: Braid(n)}
+    for j, cj, dj in reversed(groups):
+        suffix[j - 1] = cj.product() * dj.product() * suffix[j]
     out = []
     for j, cj, dj in groups:
         for f in cj.factors:
@@ -599,12 +577,10 @@ def regenerate(g) -> Factorization:
         for vf in dj.factors:
             for f in _vertex_split(vf, n):
                 out.append(cable_factor(f))
-        sc = cable(suffix[j])
-        sci = sc.inverse()
+        sci = cable(suffix[j]).inverse()
         for t in lines_of[j]:
-            tw = sc * artin_gen(2 * n, 2 * t - 1) * sci
-            out.append(Factor(tw, 2, "node", transport=sci,
-                              label=f"V{j}:Z2[{t},{t}']"))
+            out.append(Factor(artin_gen(2 * n, 2 * t - 1), 2, "node",
+                              label=f"V{j}:Z2[{t},{t}']").conjugate(sci))
     return Factorization(2 * n, out)
 
 

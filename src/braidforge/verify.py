@@ -43,7 +43,7 @@ def check_full_twist(f: Factorization) -> VerificationReport:
     """Pass iff product(f) == Delta^2_n and degree(f) == n(n-1)."""
     rep = VerificationReport()
     n = f.strands
-    t0 = time.time()
+    t0 = time.perf_counter()
     want = n * (n - 1)
     got = f.degree
     rep.totals["degree"] = got
@@ -60,7 +60,7 @@ def check_full_twist(f: Factorization) -> VerificationReport:
         rep.add("product == Delta^2", False,
                 f"residual Delta^-2.product has degree {resid.degree}, "
                 f"normal form inf {inf} with {len(facs)} factors")
-    rep.runtime["check_full_twist"] = time.time() - t0
+    rep.runtime["check_full_twist"] = time.perf_counter() - t0
     return rep
 
 
@@ -72,8 +72,8 @@ def _neighbors(state, n):
     k = len(state)
     for i in range(k - 1):
         a, b = state[i], state[i + 1]
-        yield state[:i] + (b, b.inverse() * a * b) + state[i + 2:]
-        yield state[:i] + (a * b * a.inverse(), a) + state[i + 2:]
+        yield state[:i] + (b, a.conjugate(b)) + state[i + 2:]
+        yield state[:i] + (b.conjugate(a.inverse()), a) + state[i + 2:]
 
 
 def hurwitz_equivalent(f: Factorization, g: Factorization,
@@ -141,25 +141,23 @@ def artin_census(f: Factorization) -> dict:
 
 
 def _twist_pair(fac: Factor):
-    perm = list(range(fac.n))
-    for k in fac.twist.word:
-        a = abs(k) - 1
-        perm[a], perm[a + 1] = perm[a + 1], perm[a]
-    moved = [i for i, p in enumerate(perm) if p != i]
+    moved = [i for i, p in enumerate(fac.twist.permutation()) if p != i]
     if len(moved) == 2:
         return moved[0] + 1, moved[1] + 1
     return None
 
 
 def _expand_composites(f: Factorization):
+    """(1-based index of the factor in f, expanded factor) pairs."""
     from .regeneration import _vertex_split
-    out = []
-    for fac in f.factors:
-        if fac.tag == COMPOSITE_TAG:
-            out.extend(_vertex_split(fac, fac.n))
-        else:
-            out.append(fac)
-    return out
+    for i, fac in enumerate(f.factors, 1):
+        try:
+            parts = (_vertex_split(fac, fac.n) if fac.tag == COMPOSITE_TAG
+                     else [fac])
+        except ValueError as e:
+            raise ValueError(f"factor {i} {fac.label or fac!r}: {e}") from None
+        for part in parts:
+            yield i, part
 
 
 def emit_relations(f: Factorization) -> list:
@@ -170,10 +168,11 @@ def emit_relations(f: Factorization) -> list:
     conjugates of the puncture generators G1..Gn by the factor's arc word.
     """
     out = []
-    for fac in _expand_composites(f):
+    for i, fac in _expand_composites(f):
         pair = _twist_pair(fac)
         if pair is None:
-            raise ValueError(f"factor {fac.label or fac!r} is not a half twist")
+            raise ValueError(
+                f"factor {i} {fac.label or fac!r} is not a half twist")
         a, b = pair
         w = to_text(fac.twist.word) or "e"
         A, B = f"(G{a})^[{w}]", f"(G{b})^[{w}]"

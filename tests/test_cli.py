@@ -100,3 +100,49 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[pass" in proc.stdout
+
+
+@pytest.mark.parametrize("payload", [
+    {"strands": 3},
+    {"strands": 3, "factors": [{"exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"twist": "s1", "tag": "branch"}]},
+    {"strands": 3, "factors": [{"twist": "s1", "exp": 1}]},
+    {"strands": 3, "factors": [{"twist": "s1 x2", "exp": 1, "tag": "branch"}]},
+    {"strands": 3.0, "factors": [{"twist": "s1", "exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"twist": "s1", "exp": 1.5, "tag": "composite"}]},
+    [1, 2, 3],
+])
+@pytest.mark.parametrize("command", [["verify"], ["relations"],
+                                     ["regen", "run", "--in"]])
+def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload,
+                                                command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err
+
+
+def test_unreadable_certificate_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text(frame_factorization(3).dumps()[:40])
+    assert main(["verify", str(path)]) == 2
+    assert main(["verify", str(tmp_path / "absent.json")]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 2
+
+
+def test_relations_on_regenerated_certificate_names_the_factor(
+        tmp_path, capsys, regen_fz):
+    path = tmp_path / "phi0.json"
+    path.write_text(regen_fz.dumps())
+    assert main(["relations", str(path)]) == 1
+    err = capsys.readouterr().err
+    first = regen_fz.factors[0]
+    assert "factor 1 " in err and first.label in err
+    assert "not a half twist" in err
+
+
+def test_dead_flags_are_gone():
+    assert main(["--jobs", "2", "goldens"]) == 2
+    assert main(["verify", "x.json", "--hurwitz-budget", "5"]) == 2
