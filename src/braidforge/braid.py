@@ -16,6 +16,9 @@ tuple, the image under the standard projection B_n -> S_n (see its docstring).
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import add
+
 
 Letter = int  # +k or -k for sigma_k^{+-1}, 1 <= k <= n-1
 Perm = tuple  # tuple[int, ...]
@@ -233,7 +236,11 @@ class _Normalizer:
 
 
 def normal_form_of_word(n: int, word):
-    """Left-greedy normal form (inf, permutation factors) of a braid word."""
+    """Left-greedy normal form (inf, permutation factors) of a braid word.
+
+    The free-reduction pre-pass costs one C-level scan on a reduced word,
+    such as a Braid's.
+    """
     nf = _Normalizer(n)
     push = nf.push_letter
     for k in free_reduce(word):
@@ -241,8 +248,17 @@ def normal_form_of_word(n: int, word):
     return nf.result()
 
 
+def _is_reduced(word) -> bool:
+    """No adjacent pair cancels, decided by one C-level scan."""
+    # letters are non-zero, so a pair cancels iff it sums to 0
+    return len(word) < 2 or 0 not in map(add, word, islice(word, 1, None))
+
+
 def free_reduce(word):
-    """Cancel adjacent sigma sigma^-1 pairs (cheap pre-pass)."""
+    """Cancel adjacent sigma sigma^-1 pairs."""
+    word = list(word)
+    if _is_reduced(word):
+        return word
     out: list[Letter] = []
     for k in word:
         if out and out[-1] == -k:
@@ -252,12 +268,40 @@ def free_reduce(word):
     return out
 
 
+def _overlap(a, b) -> int:
+    """Number of letters that cancel where freely reduced words a, b meet.
+
+    The last i letters of a are the inverse of the first i of b, and a * b
+    reduces to a[:len(a) - i] + b[i:].
+    """
+    i, m = 0, min(len(a), len(b))
+    while i < m and a[-1 - i] == -b[i]:
+        i += 1
+    return i
+
+
+def extend_reduced(out: list, word) -> None:
+    """out <- free reduction of out + word, for freely reduced out and word."""
+    if out and word and out[-1] == -word[0]:
+        i = _overlap(out, word)
+        del out[-i:]
+        out.extend(islice(word, i, None))
+    else:
+        out.extend(word)
+
+
 # ---------------------------------------------------------------------------
 # the public Braid value
 
 
 class Braid:
-    """An element of B_n, stored as a word with a cached normal form."""
+    """An element of B_n, stored as a freely reduced word with a cached
+    normal form.
+
+    `word` never contains an adjacent sigma_k sigma_k^-1 pair.  The public
+    constructor validates and reduces its input; the group operations keep
+    the invariant with cancellation at the joins only.
+    """
 
     __slots__ = ("n", "word", "_nf")
 
@@ -265,12 +309,24 @@ class Braid:
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
         word = tuple(word)
-        for k in word:
-            if not (1 <= abs(k) <= n - 1):
-                raise ValueError(f"letter {k} out of range for B_{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_nf", None)
+        if word:
+            if min(word) < 1 - n or max(word) > n - 1 or 0 in word:
+                bad = next(k for k in word if not 1 <= abs(k) <= n - 1)
+                raise ValueError(f"letter {bad} out of range for B_{n}")
+            if not _is_reduced(word):
+                word = tuple(free_reduce(word))
+        _SET_N(self, n)
+        _SET_WORD(self, word)
+        _SET_NF(self, None)
+
+    @classmethod
+    def _reduced(cls, n: int, word: tuple) -> "Braid":
+        """A braid from a tuple of valid letters already freely reduced."""
+        b = object.__new__(cls)
+        _SET_N(b, n)
+        _SET_WORD(b, word)
+        _SET_NF(b, None)
+        return b
 
     def __setattr__(self, name, value):
         raise AttributeError("Braid values are immutable")
@@ -280,16 +336,25 @@ class Braid:
     def __mul__(self, other: "Braid") -> "Braid":
         if self.n != other.n:
             raise ValueError(f"strand mismatch: B_{self.n} vs B_{other.n}")
-        return Braid(self.n, self.word + other.word)
+        a, b = self.word, other.word
+        if a and b and a[-1] == -b[0]:
+            i = _overlap(a, b)
+            return Braid._reduced(self.n, a[:len(a) - i] + b[i:])
+        return Braid._reduced(self.n, a + b)
 
     def inverse(self) -> "Braid":
-        return Braid(self.n, tuple(-k for k in reversed(self.word)))
+        return Braid._reduced(self.n, tuple(-k for k in reversed(self.word)))
 
     def __pow__(self, e: int) -> "Braid":
+        if e == 1:
+            return self
         if e == 0:
             return Braid(self.n)
-        base = self if e > 0 else self.inverse()
-        return Braid(self.n, base.word * abs(e))
+        w = (self if e > 0 else self.inverse()).word
+        # w = u v u^-1 with v cyclically reduced, so w^e = u v^e u^-1 reduced
+        j = _overlap(w, w)
+        core = w[j:len(w) - j]
+        return Braid._reduced(self.n, w[:j] + core * abs(e) + w[len(w) - j:])
 
     def conjugate(self, g: "Braid") -> "Braid":
         """g^-1 * self * g (the paper's (self)_g = self^g)."""
@@ -307,7 +372,10 @@ class Braid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Braid):
             return NotImplemented
-        return self.n == other.n and self.normal_form() == other.normal_form()
+        if self.n != other.n:
+            return False
+        # identical words are the same braid; other words need normal forms
+        return self.word == other.word or self.normal_form() == other.normal_form()
 
     def __hash__(self) -> int:
         return hash((self.n, self.normal_form()))
@@ -340,6 +408,10 @@ class Braid:
 
     def to_text(self) -> str:
         return to_text(self.word)
+
+
+# the slot setters, which bypass the immutability guard in __setattr__
+_SET_N, _SET_WORD, _SET_NF = (Braid.__dict__[s].__set__ for s in Braid.__slots__)
 
 
 def to_text(word) -> str:

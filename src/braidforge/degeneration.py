@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .braid import Braid, block_half_twist, free_reduce
+from .braid import Braid, block_half_twist
 from .factorization import COMPOSITE_TAG, Factor, Factorization
 
 
@@ -197,21 +197,21 @@ def _build_phi8(g: DegenGraph) -> Factorization:
     """Sweep, then regroup by Hurwitz moves into the standard order."""
     n = g.n_lines
     records = _sweep(g)
-    cur = []  # (key, factor word, Factor)
+    cur = []  # (key, Factor) in sweep order
     for kind, payload, a0, k, W in records:
         f = _record_factor(g, n, kind, payload, a0, k, W)
         cur.append(((kind, payload), f))
     out = []
+    prefix = [Braid(n)]  # prefix[i]: product of cur[:i], kept while valid
     for key in _paper_order(g):
         idx = next(i for i, (kk, _) in enumerate(cur) if kk == key)
+        while len(prefix) <= idx:
+            prefix.append(prefix[-1] * cur[len(prefix) - 1][1].braid())
         _, f = cur.pop(idx)
-        if idx:
-            # pulling a factor left past a prefix conjugates it by the prefix
-            prefix: list[int] = []
-            for _, h in cur[:idx]:
-                prefix.extend(h.braid().word)
-            f = f.conjugate(Braid(n, free_reduce(prefix)).inverse())
-        out.append(f)
+        # pulling a factor left past a prefix conjugates it by the prefix;
+        # the products past idx contained it and are rebuilt when needed
+        del prefix[idx + 1:]
+        out.append(f.conjugate(prefix[idx].inverse()) if idx else f)
     return Factorization(n, out)
 
 

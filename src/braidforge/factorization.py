@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .braid import Braid, artin_gen, delta_squared, free_reduce, from_text
+from .braid import Braid, artin_gen, delta_squared, extend_reduced, from_text
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
 COMPOSITE_TAG = "composite"
@@ -19,10 +19,11 @@ COMPOSITE_TAG = "composite"
 class Factor:
     """twist^exponent with provenance.
 
-    twist is a half-twist stored as (transport word w, position k) with value
-    w^-1 . sigma_k . w, so the "is a half-twist" invariant is checkable by one
-    normal form.  Composite factors store an arbitrary braid in `twist` with
-    exponent 1 and tag "composite".
+    Stores two braids, each a freely reduced word: `twist`, the braid raised
+    to the exponent, and `transport`, a braid w such that a half-twist twist
+    equals w^-1 . sigma_k . w for some k (checked by `is_half_twist`).
+    Composite factors store an arbitrary braid in `twist` with exponent 1
+    and tag "composite".
     """
 
     __slots__ = ("twist", "exponent", "tag", "transport", "label")
@@ -123,17 +124,16 @@ class Factorization:
     def degree(self) -> int:
         return sum(f.degree for f in self.factors)
 
-    def word(self):
+    def word(self) -> list:
+        """The freely reduced word of the product, cancelling at the joins."""
         w: list[int] = []
         for f in self.factors:
-            fw = f.twist.word
-            for _ in range(f.exponent):
-                w.extend(fw)
-        return free_reduce(w)
+            extend_reduced(w, f.braid().word)
+        return w
 
     def product(self) -> Braid:
         """Left-to-right product of the factors."""
-        return Braid(self.strands, self.word())
+        return Braid._reduced(self.strands, tuple(self.word()))
 
     def conjugate(self, g: Braid) -> "Factorization":
         if g.n != self.strands:
@@ -199,8 +199,9 @@ def conj_factorization(f: Factorization) -> Factorization:
     """
     out = []
     for fac in reversed(f.factors):
-        tw = Braid(fac.n, list(reversed(fac.twist.word)))
-        tr = Braid(fac.n, [-x for x in fac.transport.word])
+        # reversal and negation keep a word freely reduced
+        tw = Braid._reduced(fac.n, fac.twist.word[::-1])
+        tr = Braid._reduced(fac.n, tuple(-x for x in fac.transport.word))
         out.append(Factor(tw, fac.exponent, fac.tag, transport=tr,
                           label=f"~{fac.label}" if fac.label else ""))
     return Factorization(f.strands, out)

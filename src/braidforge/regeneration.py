@@ -62,8 +62,13 @@ def cable_word(n: int, word) -> list:
 
 
 def cable(b: Braid) -> Braid:
-    """The 2-cabling homomorphism B_n -> B_2n (no internal ribbon twist)."""
-    return Braid(2 * b.n, cable_word(b.n, b.word))
+    """The 2-cabling homomorphism B_n -> B_2n (no internal ribbon twist).
+
+    The cable of a freely reduced word is freely reduced: no letter cancels
+    inside a crossing's four letters, and the cables of sigma_k and
+    sigma_j^-1 cancel at a join only when j == k.
+    """
+    return Braid._reduced(2 * b.n, tuple(cable_word(b.n, b.word)))
 
 
 def cable_factor(f: Factor) -> Factor:
@@ -586,14 +591,13 @@ def regenerate(g) -> Factorization:
 
 def regen_audit(fz: Factorization) -> dict:
     """Degree bookkeeping of the doubled factorization."""
-    parasitic = sum(f.braid().degree for f in fz.factors
-                    if f.label.startswith("D"))
+    parasitic = sum(f.degree for f in fz.factors if f.label.startswith("D"))
     per_vertex = {}
     for f in fz.factors:
         if f.label.startswith("V"):
             v = int(f.label[1:].split(":")[0].split("|")[0])
-            per_vertex[v] = per_vertex.get(v, 0) + f.braid().degree
-    total = sum(f.braid().degree for f in fz.factors)
+            per_vertex[v] = per_vertex.get(v, 0) + f.degree
+    total = fz.degree
     return {"total": total, "parasitic": parasitic, "per_vertex": per_vertex}
 
 
@@ -617,14 +621,14 @@ def hv_diff(engine: Factorization, vertex: int, paper: Factorization) -> list:
     out = []
     if len(mine) != len(paper.factors):
         out.append(f"factor count: engine {len(mine)}, printed {len(paper.factors)}")
-    dm = sorted(f.braid().degree for f in mine)
-    dp = sorted(f.braid().degree for f in paper.factors)
+    dm = sorted(f.degree for f in mine)
+    dp = sorted(f.degree for f in paper.factors)
     if dm != dp:
         out.append(f"degree multiset: engine {dm}, printed {dp}")
     for i in range(min(len(mine), len(paper.factors))):
         a, b = mine[i], paper.factors[i]
-        if a.braid().degree != b.braid().degree or a.tag != b.tag:
+        if a.degree != b.degree or a.tag != b.tag:
             out.append(f"factor {i + 1}: engine {a.label} "
-                       f"(deg {a.braid().degree}, {a.tag}) vs printed {b.label} "
-                       f"(deg {b.braid().degree}, {b.tag})")
+                       f"(deg {a.degree}, {a.tag}) vs printed {b.label} "
+                       f"(deg {b.degree}, {b.tag})")
     return out

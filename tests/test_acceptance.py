@@ -12,6 +12,7 @@ import pytest
 import test_regeneration as tr
 from braidforge.arcs import PunctureConfig
 from braidforge.braid import delta_squared
+from braidforge.braid import free_reduce
 from braidforge.data import golden_json, golden_names
 from braidforge.degeneration import (_marker_text, build_tt, dt_notation,
                                      markers, phi8, tilde_Cj, tilde_Delta2)
@@ -132,6 +133,26 @@ def test_criterion_8_complex_conjugation(phi8_fz):
                               rng.choice(["left", "right"]))
         assert conj_factorization(fz).product() == delta_squared(n)
     assert conj_factorization(phi8_fz).product() == delta_squared(27)
+
+
+def test_criterion_8_words_stay_short(phi8_fz):
+    """Criterion 8's moves keep every stored word freely reduced and short."""
+    def check(fz):
+        for f in fz.factors:
+            for b in (f.twist, f.transport):
+                assert list(b.word) == free_reduce(b.word), f
+                assert len(b.word) < 10_000, f
+
+    rng = random.Random(20260824)
+    for _ in range(50):
+        n = rng.randint(2, 8)
+        fz = frame_factorization(n)
+        for _ in range(20):
+            fz = hurwitz_move(fz, rng.randint(1, len(fz) - 1),
+                              rng.choice(["left", "right"]))
+            check(fz)
+        check(conj_factorization(fz))
+    check(conj_factorization(phi8_fz))
 
 
 def test_criterion_9_negative_controls(phi8_fz):

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from braidforge.braid import (Braid, artin_gen, delta, delta_squared,
                               from_text, half_twist_word, inversions,
                               perm_of_word, perm_to_word, to_text)
+from braidforge.braid import free_reduce, normal_form_of_word
+from braidforge.factorization import SINGULARITY_TAGS, Factor, Factorization
+from braidforge.regeneration import cable, cable_word
 
 N = 4
 letters = st.integers(min_value=-(N - 1), max_value=N - 1).filter(lambda k: k != 0)
@@ -150,3 +153,79 @@ def test_hash_consistent_with_equality():
     b = Braid(3, [2, 1, 2])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the stored word is freely reduced, whichever way the braid was built
+
+
+def _inv(u):
+    return [-k for k in reversed(u)]
+
+
+def _built_right(b: Braid, raw) -> None:
+    """b stores the free reduction of raw and is the braid raw spells."""
+    assert list(b.word) == free_reduce(raw)
+    assert b.normal_form() == normal_form_of_word(b.n, raw)
+
+
+@given(words)
+def test_constructor_reduces(u):
+    _built_right(Braid(N, u), u)
+
+
+@given(words, words)
+def test_product_reduces(u, v):
+    _built_right(Braid(N, u) * Braid(N, v), u + v)
+
+
+@given(words)
+def test_inverse_reduces(u):
+    _built_right(Braid(N, u).inverse(), _inv(u))
+
+
+@given(words, st.integers(min_value=-4, max_value=4))
+def test_power_reduces(u, e):
+    base = u if e >= 0 else _inv(u)
+    _built_right(Braid(N, u) ** e, base * abs(e))
+
+
+@given(words, words, st.integers(min_value=-3, max_value=3))
+def test_power_of_a_conjugate_reduces(u, v, e):
+    # g^-1 a g has a long cyclic overlap, which the power strips once
+    b = Braid(N, _inv(v) + u + v)
+    base = list(b.word) if e >= 0 else _inv(b.word)
+    _built_right(b ** e, base * abs(e))
+
+
+@given(words, words)
+def test_conjugate_reduces(u, v):
+    _built_right(Braid(N, u).conjugate(Braid(N, v)), _inv(v) + u + v)
+
+
+@given(words)
+def test_from_text_reduces(u):
+    _built_right(from_text(N, to_text(u)), u)
+
+
+@given(words)
+def test_cable_reduces(u):
+    _built_right(cable(Braid(N, u)), cable_word(N, u))
+
+
+@given(st.lists(st.tuples(words, st.sampled_from(sorted(SINGULARITY_TAGS))),
+                max_size=5))
+def test_factorization_product_reduces(parts):
+    fz = Factorization(N, [Factor(Braid(N, u), SINGULARITY_TAGS[tag], tag)
+                           for u, tag in parts])
+    raw = [k for u, tag in parts for _ in range(SINGULARITY_TAGS[tag]) for k in u]
+    _built_right(fz.product(), raw)
+
+
+def test_letters_out_of_range_raise():
+    for word in ([0], [4], [-4], [5, -5], [1, 2, 0, 3]):
+        with pytest.raises(ValueError):
+            Braid(4, word)
+    with pytest.raises(ValueError):
+        Braid(1, [1])
+    assert Braid(4, [3, -3, -3]).word == (-3,)

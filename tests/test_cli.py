@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from braidforge.braid import Braid, artin_gen
 from braidforge.cli import main
+from braidforge.degeneration import build_tt, phi8
+from braidforge.factorization import Factor
 from braidforge.factorization import Factorization, frame_factorization
 
 
@@ -77,6 +80,38 @@ def test_regen_rejects_mismatched_input(tmp_path, capsys):
     path = tmp_path / "wrong.json"
     path.write_text(frame_factorization(27).dumps())
     assert main(["regen", "run", "--in", str(path)]) == 1
+
+
+def _phi8_with(tmp_path, i, factor):
+    """The engine's phi8 certificate with factor i replaced."""
+    factors = list(phi8(build_tt()).factors)
+    original, factors[i] = factors[i], factor
+    assert len(factors) == 225 and factor.degree == original.degree
+    path = tmp_path / "phi8.json"
+    path.write_text(Factorization(27, factors).dumps())
+    return original, path
+
+
+def test_regen_accepts_another_word_for_the_same_braid(tmp_path):
+    f = phi8(build_tt()).factors[28]
+    # append the relator s1 s2 s1 (s2 s1 s2)^-1 to the twist word
+    twist = Braid(27, f.twist.word + (1, 2, 1, -2, -1, -2))
+    _, path = _phi8_with(tmp_path, 28, Factor(twist, f.exponent, f.tag,
+                                              f.transport, f.label))
+    loaded = Factorization.loads(path.read_text()).factors[28]
+    assert loaded.twist.word != f.twist.word and loaded == f
+    assert main(["regen", "run", "--in", str(path)]) == 0
+
+
+def test_regen_rejects_a_factor_conjugated_by_s1(tmp_path, capsys):
+    # factor 28's twist does not commute with s1: same length and degrees,
+    # one different braid, which only a normal form can tell
+    f = phi8(build_tt()).factors[28]
+    moved = f.conjugate(artin_gen(27, 1))
+    original, path = _phi8_with(tmp_path, 28, moved)
+    assert moved != original
+    assert main(["regen", "run", "--in", str(path)]) == 1
+    assert "differs" in capsys.readouterr().err
 
 
 def test_regen_audit(tmp_path, capsys):
