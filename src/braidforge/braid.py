@@ -7,11 +7,12 @@ equal in B_n iff their normal forms coincide.
 
 Permutation braids are represented as tuples, perm[i] = end position of the
 strand starting at position i (0-based).  The product convention is
-left-to-right: (a*b) means "do a, then b", so compose(a, b)[i] = b[a[i]].
-With this convention sigma_k is the transposition of positions k-1, k, the
-starting set of a permutation braid is its descent set and the finishing set is
-the descent set of its inverse.  Braid.permutation() returns the inverse
-tuple, the image under the standard projection B_n -> S_n (see its docstring).
+left-to-right: (a*b) means "do a, then b", so the tuple of a*b sends i to
+b[a[i]].  With this convention sigma_k is the transposition of positions k-1,
+k, the starting set of a permutation braid is its descent set and the
+finishing set is the descent set of its inverse.  Braid.permutation() returns
+the inverse tuple, the image under the standard projection B_n -> S_n (see
+its docstring).
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ Perm = tuple  # tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # permutation-braid primitives
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """a then b."""
-    return tuple(b[x] for x in a)
 
 
 def invert(a: Perm) -> Perm:
@@ -400,6 +396,10 @@ class Braid:
         tuples: invert(b.permutation()) == perm_of_word(n, b.word).
         """
         return invert(perm_of_word(self.n, self.word))
+
+    def moved_slots(self) -> list:
+        """The 0-based slots that permutation() does not fix, ascending."""
+        return [j for j, i in enumerate(self.permutation()) if i != j]
 
     # -- presentation -------------------------------------------------------
 

@@ -19,7 +19,7 @@ from .degeneration import build_tt, markers, phi8, tilde_Cj, tilde_Delta2
 from .factorization import Factorization
 from .lefschetz import golden_check
 from .regeneration import (conic_identity, conic_tables, hv_diff,
-                           hv_paper_factors, hv_table, regen_audit, regenerate)
+                           hv_paper_factors, regen_audit, regenerate)
 from .verify import VerificationReport, check_full_twist, emit_relations
 
 
@@ -28,10 +28,9 @@ def _sha256(text: str) -> str:
 
 
 class RunManifest:
-    def __init__(self, command: str, seed: int = 0):
+    def __init__(self, command: str):
         self.data = {"command": command, "engine_version": __version__,
-                     "seed": seed, "inputs": {}, "outputs": {},
-                     "wall_time_s": None}
+                     "inputs": {}, "outputs": {}, "wall_time_s": None}
         self._t0 = time.perf_counter()
 
     def add_input(self, path: str, text: str):
@@ -117,7 +116,7 @@ def cmd_regen(args) -> int:
     rep = VerificationReport()
     if args.audit:
         a = regen_audit(fz)
-        rep.totals = a | {"per_vertex": a["per_vertex"]}
+        rep.totals = a
         rep.add("total degree == 2862", a["total"] == 2862,
                 "" if a["total"] == 2862 else f"got {a['total']}")
         rep.add("parasitic degree == 1728", a["parasitic"] == 1728,
@@ -196,7 +195,7 @@ def cmd_goldens(args) -> int:
     # worked-vertex diffs (informational)
     eng = regenerate(g)
     for name in ("hv1", "hv4", "hv7"):
-        obj = hv_table(name)
+        obj = golden_json(f"regen/{name}.json")
         diff = hv_diff(eng, obj["vertex"], hv_paper_factors(obj))
         status = "identical" if not diff else "; ".join(diff[:3])
         print(f"local monodromy V{obj['vertex']} diff: {status}")

@@ -244,12 +244,15 @@ def parasitic_Dt(g: DegenGraph, t: int) -> Factorization:
 
 
 def tilde_Cj(g: DegenGraph, j: int) -> Factorization:
-    """Product of the D_t over lines whose smaller vertex is j."""
-    out = Factorization(g.n_lines)
-    for t in range(1, g.n_lines + 1):
-        if g.small_vertex(t) == j:
-            out = out + parasitic_Dt(g, t)
-    return out
+    """Product of the D_t over lines whose smaller vertex is j.
+
+    `phi8` already holds these D_t in order of t (`_paper_order`), so one
+    filter of it is the product.
+    """
+    pre = tuple(f"D{t}:" for t in range(1, g.n_lines + 1)
+                if g.small_vertex(t) == j)
+    return Factorization(g.n_lines,
+                         [f for f in _phi8_cached(g) if f.label.startswith(pre)])
 
 
 def tilde_Delta2(g: DegenGraph, j: int) -> Factorization:

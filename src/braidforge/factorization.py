@@ -13,6 +13,7 @@ import json
 from .braid import Braid, artin_gen, delta_squared, extend_reduced, from_text
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
+EXP_TAG = {r: tag for tag, r in SINGULARITY_TAGS.items()}
 COMPOSITE_TAG = "composite"
 
 
@@ -59,7 +60,7 @@ class Factor:
             return False
         # undo the transport; what remains must be one Artin generator
         core = self.twist.conjugate(self.transport.inverse())
-        moved = [i for i, p in enumerate(core.permutation()) if p != i]
+        moved = core.moved_slots()
         if len(moved) != 2 or moved[1] != moved[0] + 1:
             return False
         return core == artin_gen(self.n, moved[0] + 1)

@@ -27,14 +27,10 @@ replay reads the printed rows with the regeneration module's parser.
 
 from __future__ import annotations
 
-import json
-
 from .arcs import PunctureConfig, pair_twists
 from .braid import Braid, artin_gen, block_half_twist, delta
-from .factorization import COMPOSITE_TAG, Factor, Factorization
+from .factorization import COMPOSITE_TAG, EXP_TAG, Factor, Factorization
 from .regeneration import entry_value
-
-EXP_TAG = {1: "branch", 2: "node", 3: "cusp", 4: "tangent"}
 
 
 class LefschetzRow:
@@ -79,10 +75,6 @@ class LefschetzTable:
     def from_json(cls, obj) -> "LefschetzTable":
         return cls(obj["strands"], obj["labels"],
                    [LefschetzRow.from_json(r) for r in obj["rows"]])
-
-    @classmethod
-    def loads(cls, text: str) -> "LefschetzTable":
-        return cls.from_json(json.loads(text))
 
 
 def _ascend(n: int, k: int) -> Braid:
@@ -148,11 +140,6 @@ def monodromy_from_table(t: LefschetzTable) -> Factorization:
     return Factorization(n, factors)
 
 
-def pair_half_twists(t: LefschetzTable, pairs) -> Braid:
-    """Product of the positive half-twists of the named label pairs."""
-    return pair_twists(PunctureConfig.reals(t.labels), pairs)
-
-
 def two_sided_monodromy(front: LefschetzTable, back: LefschetzTable,
                         rho: Braid) -> Factorization:
     """Front factors, then the back factors rotated a half turn and
@@ -177,8 +164,8 @@ def golden_check(obj) -> list:
     front = LefschetzTable.from_json(obj)
     out = []
 
-    labelled = PunctureConfig.reals(front.labels)
-    positional = PunctureConfig.standard(front.strands)
+    labelled = PunctureConfig(front.labels)
+    positional = PunctureConfig(range(1, front.strands + 1))
 
     def compare(stage, factors, texts, cfg, post=None):
         for i, (f, text) in enumerate(zip(factors, texts)):
@@ -197,7 +184,7 @@ def golden_check(obj) -> list:
         compare("far", far, obj["back_expected_far"], positional)
         compare("rotated", far.conjugate(delta(front.strands).inverse()),
                 obj["back_expected_rotated"], positional)
-        rho = pair_half_twists(front, obj["rho"])
+        rho = pair_twists(labelled, obj["rho"])
         final = two_sided_monodromy(front, back, rho).factors[len(front.rows):]
         compare("final", final, obj["back_expected_rotated"], positional,
                 post=lambda b: b.conjugate(rho))

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import re
 
-from .arcs import (ABOVE, BELOW, PunctureConfig, arc_from_crossings,
-                   composite_twist, pair_twists, simple_arc)
+from .arcs import (ABOVE, BELOW, PunctureConfig, arc_twist, composite_twist,
+                   pair_twists)
 from .braid import Braid, artin_gen, block_half_twist, delta_squared
 from .data import golden_json
-from .factorization import Factor, Factorization
+from .factorization import EXP_TAG, Factor, Factorization
 
 
 # ---------------------------------------------------------------------------
@@ -175,31 +175,14 @@ def _pair_rho(cfg: PunctureConfig, label: str) -> Braid:
 # regeneration rules as factor lists (printed order; reverse to compose)
 
 
-def _arc2(cfg: PunctureConfig, a: str, b: str, side: str) -> Braid:
-    return simple_arc(cfg, a, b, side=side).realized
-
-
-def _between(cfg: PunctureConfig, a: str, b: str):
-    pa, pb = cfg.position(a), cfg.position(b)
-    return [cfg.label_at(i) for i in range(min(pa, pb) + 1, max(pa, pb))]
-
-
-def _long_arc(cfg: PunctureConfig, a: str, b: str, side: str, partner: str) -> Braid:
-    """Arc a->b passing the fat partner below and everything else on `side`."""
-    cross = [(p, BELOW if p == partner else side) for p in _between(cfg, a, b)]
-    return arc_from_crossings(cfg, a, b, cross).realized
-
-
 def branch_factors(cfg: PunctureConfig, i: str, j: str, label: str = "") -> list:
     """First rule, printed order: Z_{ij'} . Z_{i'j}.
 
     The long arc i->j' passes i' above and j below; the short arc i'->j is
     plain.  Any common conjugation is applied by the caller.
     """
-    cross = [(p, ABOVE if p == f"{i}'" else BELOW)
-             for p in _between(cfg, i, f"{j}'")]
-    long_arc = arc_from_crossings(cfg, i, f"{j}'", cross).realized
-    short_arc = _arc2(cfg, f"{i}'", j, BELOW)
+    long_arc = arc_twist(cfg, i, f"{j}'", flipped=(f"{i}'",))
+    short_arc = arc_twist(cfg, f"{i}'", j)
     return [Factor(long_arc, 1, "branch", label=f"{label}Z1[{i},{j}']"),
             Factor(short_arc, 1, "branch", label=f"{label}Z1[{i}',{j}]")]
 
@@ -219,18 +202,19 @@ def node_factors(cfg: PunctureConfig, end_a, end_b,
         return [Factor(tw, 1, "composite",
                        label=f"{label}Z2[{end_a[0]}{end_a[1]},{end_b[0]}{end_b[1]}]")]
     if not fat_a and not fat_b:
-        return [Factor(_arc2(cfg, end_a, end_b, side), 2, "node",
+        return [Factor(arc_twist(cfg, end_a, end_b, side), 2, "node",
                        label=f"{label}Z2[{end_a},{end_b}]")]
+    # the longer arc passes the partner member of its fat end below
     if fat_a:
         (i, ip), j = end_a, end_b
-        long_tw = _long_arc(cfg, i, j, side, ip)
-        short_tw = _arc2(cfg, ip, j, side)
+        long_tw = arc_twist(cfg, i, j, side, () if side == BELOW else (ip,))
+        short_tw = arc_twist(cfg, ip, j, side)
         printed = [Factor(short_tw, 2, "node", label=f"{label}Z2[{ip},{j}]"),
                    Factor(long_tw, 2, "node", label=f"{label}Z2[{i},{j}]")]
     else:
         i, (j, jp) = end_a, end_b
-        long_tw = _long_arc(cfg, i, jp, side, j)
-        short_tw = _arc2(cfg, i, j, side)
+        long_tw = arc_twist(cfg, i, jp, side, () if side == BELOW else (j,))
+        short_tw = arc_twist(cfg, i, j, side)
         printed = [Factor(long_tw, 2, "node", label=f"{label}Z2[{i},{jp}]"),
                    Factor(short_tw, 2, "node", label=f"{label}Z2[{i},{j}]")]
     return printed
@@ -252,7 +236,7 @@ def cusp_factors(cfg: PunctureConfig, end_a, end_b,
     else:
         pair, single = end_b, end_a
         a, b = single, pair[0]          # near member is the left one
-    base = _arc2(cfg, a, b, side)
+    base = arc_twist(cfg, a, b, side)
     rho = _pair_rho(cfg, pair[0].rstrip("'"))
     return [Factor(base.conjugate(rho.inverse()), 3, "cusp",
                    label=f"{label}Z3[{a},{b}]_rho"),
@@ -271,15 +255,15 @@ class DoublingMap:
     __slots__ = ("base", "doubled")
 
     def __init__(self, base_labels):
-        self.base = PunctureConfig.reals(base_labels)
-        self.doubled = PunctureConfig.reals(doubled_labels(base_labels))
+        self.base = PunctureConfig(base_labels)
+        self.doubled = PunctureConfig(doubled_labels(base_labels))
         if self.doubled.n != 2 * self.base.n:
             raise ValueError("doubling must exactly double the punctures")
 
 
 def _factor_ends(dm: DoublingMap, f: Factor):
     """Base labels of the two punctures a half-twist factor exchanges."""
-    moved = [i for i, p in enumerate(f.twist.permutation()) if p != i]
+    moved = f.twist.moved_slots()
     if len(moved) != 2:
         raise ValueError("factor twist is not a half twist of two punctures")
     return dm.base.label_at(moved[0]), dm.base.label_at(moved[1])
@@ -290,16 +274,12 @@ def _from_printed(n: int, printed) -> Factorization:
     return Factorization(n, reversed(printed))
 
 
-def _rule_result(dm: DoublingMap, printed) -> Factorization:
-    return _from_printed(dm.doubled.n, printed)
-
-
 def regen_rule1(f: Factor, dm: DoublingMap) -> Factorization:
     """Branch point: Z_{ij} -> Z_{ij'} . Z_{i'j}."""
     if f.exponent != 1:
         raise ValueError(f"rule 1 needs exponent 1, got {f.exponent}")
     i, j = _factor_ends(dm, f)
-    return _rule_result(dm, branch_factors(dm.doubled, i, j))
+    return _from_printed(dm.doubled.n, branch_factors(dm.doubled, i, j))
 
 
 def regen_rule2(f: Factor, dm: DoublingMap, which: str = "i-side") -> Factorization:
@@ -321,7 +301,7 @@ def regen_rule2(f: Factor, dm: DoublingMap, which: str = "i-side") -> Factorizat
                    + node_factors(dm.doubled, i, (j, jp)))
     else:
         raise ValueError(f"unknown side {which!r}")
-    return _rule_result(dm, printed)
+    return _from_printed(dm.doubled.n, printed)
 
 
 def regen_rule3(f: Factor, dm: DoublingMap) -> Factorization:
@@ -329,7 +309,7 @@ def regen_rule3(f: Factor, dm: DoublingMap) -> Factorization:
     if f.exponent != 4:
         raise ValueError(f"rule 3 needs exponent 4, got {f.exponent}")
     i, j = _factor_ends(dm, f)
-    return _rule_result(dm, cusp_factors(dm.doubled, i, (j, f"{j}'")))
+    return _from_printed(dm.doubled.n, cusp_factors(dm.doubled, i, (j, f"{j}'")))
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +348,18 @@ def _revprod(cfg_n: int, factors) -> Braid:
 
 
 def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
-    """Value of one printed atom."""
+    """Value of one printed atom.
+
+    A Z atom's value is the product of its expansion by `atom_factors`, so
+    the value and the factor paths agree; an m exponent inverts it.
+    """
     text = text.strip()
     m = _DATOM.match(text)
     if m:
         return composite_twist(cfg, m.group(2).split(",")) ** int(m.group(1))
-    side, exp, ea, eb = _atom_parts(text)
-    fat_a, fat_b = not isinstance(ea, str), not isinstance(eb, str)
-    if abs(exp) == 2 and (fat_a or fat_b):
-        # any fat full twist: value is the (reversed) product of its factors
-        val = _revprod(cfg.n, node_factors(cfg, ea, eb, side))
-        return val.inverse() if exp < 0 else val
-    if not fat_a and not fat_b:
-        return _arc2(cfg, ea, eb, side) ** exp
+    if _atom_parts(text)[1] < 0:
+        # the m follows Z, Zu or Zb, so it is the atom's first m
+        return parse_regen_atom(cfg, text.replace("m", "", 1)).inverse()
     return _revprod(cfg.n, atom_factors(cfg, text))
 
 
@@ -388,20 +367,19 @@ def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
     """Expand one printed atom into its factor list (printed order)."""
     text = text.strip()
     side, exp, ea, eb = _atom_parts(text)
-    fat = not isinstance(ea, str) or not isinstance(eb, str)
-    if exp == 1:
-        # a single branch factor; the long arc Z_{ij'} passes the partner of
-        # its left end above and everything else below
-        cross = [(p, ABOVE if p == f"{ea}'" else BELOW)
-                 for p in _between(cfg, ea, eb)]
-        tw = arc_from_crossings(cfg, ea, eb, cross).realized
-        return [Factor(tw, 1, "branch", label=f"{label}{text}")]
+    thin = isinstance(ea, str) and isinstance(eb, str)
+    if exp == 1 and thin:
+        # a single branch factor; the arc passes the partner of its first end
+        # above (the long arc Z_{ij'}) and the other punctures on `side`
+        partner = () if side == ABOVE else (f"{ea}'",)
+        return [Factor(arc_twist(cfg, ea, eb, side, partner), 1, "branch",
+                       label=f"{label}{text}")]
     if exp == 2:
         return node_factors(cfg, ea, eb, side, label)
-    if exp == 3 and fat:
+    if exp == 3 and not thin:
         return cusp_factors(cfg, ea, eb, side, label)
-    if exp == 3:
-        return [Factor(_arc2(cfg, ea, eb, side), 3, "cusp",
+    if exp in (3, 4):
+        return [Factor(arc_twist(cfg, ea, eb, side), exp, EXP_TAG[exp],
                        label=f"{label}{text}")]
     raise ValueError(f"atom {text!r} cannot stand as a factor")
 
@@ -458,7 +436,7 @@ def formula_factors(labels, entries, rho_pairs=None,
     branch_conj, if given, is the printed conjugator applied to every plain
     degree-1 entry (the printed lists omit it).
     """
-    cfg = PunctureConfig.reals(labels)
+    cfg = PunctureConfig(labels)
     rho = pair_twists(cfg, rho_pairs) if rho_pairs else None
     gbi = (_conjugator(cfg, list(branch_conj), rho).inverse()
            if branch_conj else None)
@@ -475,10 +453,6 @@ def formula_factors(labels, entries, rho_pairs=None,
 # doubled conic monodromy and its full-twist identity
 
 
-def _golden(name: str) -> dict:
-    return golden_json(f"regen/{name}.json")
-
-
 def conic_monodromy(obj) -> Factorization:
     """F^_1 . (F^_1)^{rho^-1} of a doubled two-branch local model (8 strands).
 
@@ -486,7 +460,7 @@ def conic_monodromy(obj) -> Factorization:
     """
     f1 = formula_factors(obj["labels"], obj["fhat1"], obj["rho"],
                          obj.get("branch_conj", ()))
-    rho = pair_twists(PunctureConfig.reals(obj["labels"]), obj["rho"])
+    rho = pair_twists(PunctureConfig(obj["labels"]), obj["rho"])
     f2 = f1.conjugate(rho)
     for f in f2:
         f.label += "^rho-"
@@ -499,13 +473,14 @@ def conic_identity(obj) -> bool:
     This is the printed identity Delta^2 = F^_1 F^_2 . prod Z^2_{ii'} read
     right to left (the pair twists commute with each other).
     """
-    cfg = PunctureConfig.reals(obj["labels"])
+    cfg = PunctureConfig(obj["labels"])
     tail = pair_twists(cfg, obj["infinity"], 2)
     return tail * conic_monodromy(obj).product() == delta_squared(cfg.n)
 
 
 def conic_tables() -> dict:
-    return {name: _golden(name) for name in ("fhat_a", "fhat_b", "fhat_c")}
+    return {name: golden_json(f"regen/{name}.json")
+            for name in ("fhat_a", "fhat_b", "fhat_c")}
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +578,6 @@ def regen_audit(fz: Factorization) -> dict:
 
 # ---------------------------------------------------------------------------
 # printed local monodromies of the three worked vertices (diff reporting)
-
-
-def hv_table(name: str) -> dict:
-    return _golden(name)
 
 
 def hv_paper_factors(obj) -> Factorization:

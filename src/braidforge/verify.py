@@ -141,7 +141,7 @@ def artin_census(f: Factorization) -> dict:
 
 
 def _twist_pair(fac: Factor):
-    moved = [i for i, p in enumerate(fac.twist.permutation()) if p != i]
+    moved = fac.twist.moved_slots()
     if len(moved) == 2:
         return moved[0] + 1, moved[1] + 1
     return None

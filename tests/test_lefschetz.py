@@ -4,11 +4,11 @@ import time
 
 import pytest
 
+from braidforge.arcs import PunctureConfig, pair_twists
 from braidforge.braid import delta_squared
 from braidforge.data import golden_json, golden_names
 from braidforge.lefschetz import (LefschetzTable, golden_check,
-                                  monodromy_from_table, pair_half_twists,
-                                  two_sided_monodromy)
+                                  monodromy_from_table, two_sided_monodromy)
 
 TABLES = golden_names("tables")
 
@@ -50,7 +50,7 @@ def test_two_sided_factor_count():
     back = LefschetzTable.from_json(
         {"strands": obj["strands"], "labels": obj["labels"],
          "rows": obj["back_rows"]})
-    rho = pair_half_twists(front, obj["rho"])
+    rho = pair_twists(PunctureConfig(front.labels), obj["rho"])
     fz = two_sided_monodromy(front, back, rho)
     assert len(fz) == len(obj["rows"]) + len(obj["back_rows"])
 

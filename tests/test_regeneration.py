@@ -1,18 +1,20 @@
 """Doubling rules, cabling oracles, splitting identities, and invariance."""
 
+import re
 import time
 
 import pytest
 
-from braidforge.arcs import ABOVE, BELOW, PunctureConfig
+from braidforge.arcs import ABOVE, BELOW, PunctureConfig, arc_twist
 from braidforge.braid import Braid, artin_gen, delta_squared
+from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
-from braidforge.regeneration import (DoublingMap, _arc2, _block_delta2,
-                                     _long_arc, _pair_rho, _revprod,
-                                     band_full_twist, cable, cable_word,
-                                     conic_identity, conic_tables,
-                                     doubled_labels, hv_paper_factors,
-                                     hv_table, node_factors, partial_cable,
+from braidforge.regeneration import (DoublingMap, _block_delta2, _pair_rho,
+                                     _revprod, atom_factors, band_full_twist,
+                                     cable, cable_word, conic_identity,
+                                     conic_tables, doubled_labels,
+                                     hv_paper_factors, node_factors,
+                                     parse_regen_atom, partial_cable,
                                      regen_audit, regen_rule1, regen_rule2,
                                      regen_rule3)
 from braidforge.verify import hurwitz_equivalent
@@ -73,7 +75,7 @@ def test_partial_cable_full_twist_oracle(rng):
 
 @pytest.fixture(scope="module")
 def cfg4():
-    return PunctureConfig.reals(doubled_labels(["1", "2"]))
+    return PunctureConfig(doubled_labels(["1", "2"]))
 
 
 def _val(cfg, printed):
@@ -94,22 +96,22 @@ def test_split_fat_right(cfg4):
 
 def test_split_fat_right_inverse(cfg4):
     # Z^-2_{i',jj'} = Z^-2_{i'j} Z^-2_{i'j'}
-    rhs = (_arc2(cfg4, "1'", "2'", BELOW) ** -2
-           * _arc2(cfg4, "1'", "2", BELOW) ** -2)
+    rhs = (arc_twist(cfg4, "1'", "2'", BELOW) ** -2
+           * arc_twist(cfg4, "1'", "2", BELOW) ** -2)
     assert band_full_twist(cfg4, "1'", ("2", "2'")).inverse() == rhs
 
 
 def test_split_fat_right_barred_inverse(cfg4):
     # barred: Z~^-2_{i',jj'} = Z~^-2_{i'j'} Z~^-2_{i'j}  (arcs above)
-    rhs = (_arc2(cfg4, "1'", "2", ABOVE) ** -2
-           * _arc2(cfg4, "1'", "2'", ABOVE) ** -2)
+    rhs = (arc_twist(cfg4, "1'", "2", ABOVE) ** -2
+           * arc_twist(cfg4, "1'", "2'", ABOVE) ** -2)
     assert band_full_twist(cfg4, "1'", ("2", "2'"), ABOVE).inverse() == rhs
 
 
 def test_split_fat_left_inverse(cfg4):
     # Z^-2_{ii',j} = Z^-2_{ij} Z^-2_{i'j}
-    long_tw = _long_arc(cfg4, "1", "2", BELOW, "1'")
-    short_tw = _arc2(cfg4, "1'", "2", BELOW)
+    long_tw = arc_twist(cfg4, "1", "2", BELOW)
+    short_tw = arc_twist(cfg4, "1'", "2", BELOW)
     rhs = short_tw ** -2 * long_tw ** -2
     assert band_full_twist(cfg4, ("1", "1'"), "2").inverse() == rhs
 
@@ -258,6 +260,53 @@ def test_chakiri_invariance_smoke(rng):
 
 
 # ---------------------------------------------------------------------------
+# one evaluator per printed atom
+
+_ATOM = re.compile(r"Z[ub]?m?\d\[[^\]]+\]")
+
+
+def _golden_atoms():
+    """(labels, atom) for every Z atom printed in the goldens; the far-side
+    rows of the tables are labelled by position."""
+    out = set()
+
+    def walk(o, labels):
+        if isinstance(o, str):
+            out.update((labels, a) for a in _ATOM.findall(o))
+        elif isinstance(o, list):
+            for v in o:
+                walk(v, labels)
+
+    for sub in ("tables", "regen"):
+        for name in golden_names(sub):
+            obj = golden_json(f"{sub}/{name}.json")
+            labels = tuple(obj["labels"])
+            for key, v in obj.items():
+                far = key.startswith("back_")
+                walk(v, tuple(map(str, range(1, len(labels) + 1))) if far
+                     else labels)
+    return sorted(out)
+
+
+def test_atom_value_is_the_product_of_its_expansion():
+    doubled = tuple(doubled_labels(["1", "2", "3"]))
+    cases = _golden_atoms() + [(doubled, a)
+                               for a in ("Z1[1,3]", "Z1[1,2']", "Zb1[1,3]")]
+    assert len(cases) > 50
+    for labels, atom in cases:
+        cfg = PunctureConfig(labels)
+        plain = atom.replace("m", "", 1)
+        val = _revprod(cfg.n, atom_factors(cfg, plain))
+        want = val if plain == atom else val.inverse()
+        assert parse_regen_atom(cfg, atom) == want, atom
+    # the branch convention: the partner of the first end is passed above,
+    # the other punctures on the printed side
+    cfg = PunctureConfig(doubled)
+    assert parse_regen_atom(cfg, "Z1[1,3]").word == (4, 3, -2, 1, 2, -3, -4)
+    assert parse_regen_atom(cfg, "Zb1[1,3]").word == (-4, -3, -2, 1, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
 # doubled local models and the global factorization
 
 
@@ -287,7 +336,7 @@ def test_worked_vertex_transcriptions():
     """Each printed local table expands to 54 factors of total degree 126,
     short of the full local twist by exactly the six deferred pair twists."""
     for name in ("hv1", "hv4", "hv7"):
-        obj = hv_table(name)
+        obj = golden_json(f"regen/{name}.json")
         fz = hv_paper_factors(obj)
         assert len(fz) == 54
         assert sum(f.braid().degree for f in fz) == 126
