@@ -17,8 +17,10 @@ its docstring).
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import add
+import re
+from functools import lru_cache
+from itertools import compress, count, islice, repeat
+from operator import add, lt, neg
 
 
 Letter = int  # +k or -k for sigma_k^{+-1}, 1 <= k <= n-1
@@ -270,10 +272,13 @@ def _overlap(a, b) -> int:
     The last i letters of a are the inverse of the first i of b, and a * b
     reduces to a[:len(a) - i] + b[i:].
     """
-    i, m = 0, min(len(a), len(b))
-    while i < m and a[-1 - i] == -b[i]:
-        i += 1
-    return i
+    # most joins cancel nothing: decide those before any iterator set-up
+    if not a or not b or a[-1] != -b[0]:
+        return 0
+    # letters are non-zero, so a[-1 - i] cancels b[i] iff they sum to 0:
+    # the answer is the first index with a non-zero sum
+    return next(compress(count(), map(add, reversed(a), b)),
+                min(len(a), len(b)))
 
 
 def extend_reduced(out: list, word) -> None:
@@ -299,7 +304,7 @@ class Braid:
     the invariant with cancellation at the joins only.
     """
 
-    __slots__ = ("n", "word", "_nf")
+    __slots__ = ("n", "word", "_nf", "_deg")
 
     def __init__(self, n: int, word=()):
         if n < 1:
@@ -314,6 +319,7 @@ class Braid:
         _SET_N(self, n)
         _SET_WORD(self, word)
         _SET_NF(self, None)
+        _SET_DEG(self, None)
 
     @classmethod
     def _reduced(cls, n: int, word: tuple) -> "Braid":
@@ -322,6 +328,7 @@ class Braid:
         _SET_N(b, n)
         _SET_WORD(b, word)
         _SET_NF(b, None)
+        _SET_DEG(b, None)
         return b
 
     def __setattr__(self, name, value):
@@ -339,7 +346,7 @@ class Braid:
         return Braid._reduced(self.n, a + b)
 
     def inverse(self) -> "Braid":
-        return Braid._reduced(self.n, tuple(-k for k in reversed(self.word)))
+        return Braid._reduced(self.n, tuple(map(neg, reversed(self.word))))
 
     def __pow__(self, e: int) -> "Braid":
         if e == 1:
@@ -384,8 +391,14 @@ class Braid:
 
     @property
     def degree(self) -> int:
-        """Exponent sum of the word (crossing number with signs)."""
-        return sum(1 if k > 0 else -1 for k in self.word)
+        """Exponent sum of the word (crossing number with signs), cached."""
+        d = self._deg
+        if d is None:
+            word = self.word
+            # every negative letter counts -1 instead of +1
+            d = len(word) - 2 * sum(map(lt, word, repeat(0)))
+            _SET_DEG(self, d)
+        return d
 
     def permutation(self) -> Perm:
         """The image under the projection B_n -> S_n, sigma_k -> (k k+1).
@@ -411,23 +424,49 @@ class Braid:
 
 
 # the slot setters, which bypass the immutability guard in __setattr__
-_SET_N, _SET_WORD, _SET_NF = (Braid.__dict__[s].__set__ for s in Braid.__slots__)
+_SET_N, _SET_WORD, _SET_NF, _SET_DEG = (Braid.__dict__[s].__set__
+                                        for s in Braid.__slots__)
+
+
+# ---------------------------------------------------------------------------
+# text notation: sigma_k^{+1} is `s<k>`, sigma_k^{-1} is `S<k>`, with k a
+# canonical decimal (no sign, no leading zero)
+
+
+class _TokenTable(dict):
+    """letter -> token, each entry made on first use."""
+
+    def __missing__(self, k):
+        tok = self[k] = f"s{k}" if k > 0 else f"S{-k}"
+        return tok
+
+
+_TOKENS = _TokenTable()
+
+
+@lru_cache(maxsize=None)
+def _letters(n: int) -> dict:
+    """token -> letter for every generator of B_n and its inverse."""
+    return {_TOKENS[k]: k for j in range(1, n) for k in (j, -j)}
 
 
 def to_text(word) -> str:
     """`s3` / `S3` text notation for sigma_3^{+1} / sigma_3^{-1}."""
-    return " ".join(f"s{k}" if k > 0 else f"S{-k}" for k in word)
+    return " ".join(map(_TOKENS.__getitem__, word))
 
 
 def from_text(n: int, text: str) -> Braid:
-    word = []
-    for tok in text.split():
-        if tok[0] == "s":
-            word.append(int(tok[1:]))
-        elif tok[0] == "S":
-            word.append(-int(tok[1:]))
-        else:
-            raise ValueError(f"bad braid token {tok!r}")
+    """The braid of a text word; only canonical tokens of B_n are read."""
+    tokens = text.split()
+    try:
+        word = tuple(map(_letters(n).__getitem__, tokens))
+    except KeyError as e:
+        tok = e.args[0]
+        if not re.fullmatch(r"[sS](0|[1-9][0-9]*)", tok):
+            raise ValueError(f"bad braid token {tok!r}") from None
+        # a well-formed letter outside 1..n-1: the constructor's check names it
+        k = int(tok[1:])
+        word = (k if tok[0] == "s" else -k,)
     return Braid(n, word)
 
 

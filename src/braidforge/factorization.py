@@ -107,6 +107,14 @@ class Factorization:
         self.strands = strands
         self.factors = factors
 
+    @classmethod
+    def _of(cls, strands: int, factors: tuple) -> "Factorization":
+        """A factorization of factors already known to lie in B_strands."""
+        fz = object.__new__(cls)
+        fz.strands = strands
+        fz.factors = factors
+        return fz
+
     def __len__(self):
         return len(self.factors)
 
@@ -178,15 +186,16 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     """
     if not (1 <= i < len(f) + 1) or i >= len(f):
         raise ValueError(f"move position {i} out of range for {len(f)} factors")
-    fs = list(f.factors)
+    fs = f.factors
     a, b = fs[i - 1], fs[i]
     if direction == "right":
-        fs[i - 1], fs[i] = b, a.conjugate(b.braid())
+        pair = (b, a.conjugate(b.braid()))
     elif direction == "left":
-        fs[i - 1], fs[i] = b.conjugate(a.braid().inverse()), a
+        pair = (b.conjugate(a.braid().inverse()), a)
     else:
         raise ValueError("direction must be left or right")
-    return Factorization(f.strands, fs)
+    # both new factors are conjugates of factors of f, so on f's strands
+    return Factorization._of(f.strands, fs[:i - 1] + pair + fs[i + 1:])
 
 
 def conj_factorization(f: Factorization) -> Factorization:

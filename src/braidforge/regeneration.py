@@ -39,6 +39,8 @@ models satisfy on the nose -- see the cabling oracle in the tests):
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import chain
 
 from .arcs import (ABOVE, BELOW, PunctureConfig, arc_twist, composite_twist,
                    pair_twists)
@@ -51,14 +53,20 @@ from .factorization import EXP_TAG, Factor, Factorization
 # 2-cabling
 
 
+@lru_cache(maxsize=None)
+def _ribbon_crossings(n: int) -> dict:
+    """Letter of B_n -> the four letters of its ribbon crossing in B_2n."""
+    table = {}
+    for k in range(1, n):
+        w = (2 * k, 2 * k + 1, 2 * k - 1, 2 * k)
+        table[k] = w
+        table[-k] = tuple(-x for x in reversed(w))
+    return table
+
+
 def cable_word(n: int, word) -> list:
     """Image of a braid word of B_n under the 2-cabling into B_2n."""
-    out = []
-    for g in word:
-        k, s = abs(g), (1 if g > 0 else -1)
-        w = [2 * k, 2 * k + 1, 2 * k - 1, 2 * k]
-        out.extend(w if s > 0 else [-x for x in reversed(w)])
-    return out
+    return list(chain.from_iterable(map(_ribbon_crossings(n).__getitem__, word)))
 
 
 def cable(b: Braid) -> Braid:
@@ -565,14 +573,17 @@ def regenerate(g) -> Factorization:
 
 
 def regen_audit(fz: Factorization) -> dict:
-    """Degree bookkeeping of the doubled factorization."""
-    parasitic = sum(f.degree for f in fz.factors if f.label.startswith("D"))
+    """Degree bookkeeping of the doubled factorization, in one pass."""
+    total = parasitic = 0
     per_vertex = {}
     for f in fz.factors:
-        if f.label.startswith("V"):
+        d = f.degree
+        total += d
+        if f.label.startswith("D"):
+            parasitic += d
+        elif f.label.startswith("V"):
             v = int(f.label[1:].split(":")[0].split("|")[0])
-            per_vertex[v] = per_vertex.get(v, 0) + f.degree
-    total = fz.degree
+            per_vertex[v] = per_vertex.get(v, 0) + d
     return {"total": total, "parasitic": parasitic, "per_vertex": per_vertex}
 
 

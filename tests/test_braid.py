@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from braidforge.braid import (Braid, artin_gen, delta, delta_squared,
                               from_text, half_twist_word, inversions,
                               perm_of_word, perm_to_word, to_text)
-from braidforge.braid import free_reduce, normal_form_of_word
+from braidforge.braid import _overlap, free_reduce, normal_form_of_word
 from braidforge.factorization import SINGULARITY_TAGS, Factor, Factorization
 from braidforge.regeneration import cable, cable_word
 
@@ -229,3 +229,110 @@ def test_letters_out_of_range_raise():
     with pytest.raises(ValueError):
         Braid(1, [1])
     assert Braid(4, [3, -3, -3]).word == (-3,)
+
+
+# ---------------------------------------------------------------------------
+# the table-driven word kernels equal their per-letter definitions
+
+letters54 = st.integers(min_value=-53, max_value=53).filter(lambda k: k != 0)
+words54 = st.lists(letters54, max_size=40)
+
+
+def _ref_to_text(word) -> str:
+    return " ".join(f"s{k}" if k > 0 else f"S{-k}" for k in word)
+
+
+def _ref_letters(text) -> list:
+    return [int(t[1:]) if t[0] == "s" else -int(t[1:]) for t in text.split()]
+
+
+def _ref_overlap(a, b) -> int:
+    i, m = 0, min(len(a), len(b))
+    while i < m and a[-1 - i] == -b[i]:
+        i += 1
+    return i
+
+
+def _ref_degree(word) -> int:
+    return sum(1 if k > 0 else -1 for k in word)
+
+
+@given(words54)
+def test_text_kernels_match_the_per_letter_definitions(u):
+    text = to_text(u)
+    assert text == _ref_to_text(u)
+    assert _ref_letters(text) == u
+    b = from_text(54, text)
+    assert b.word == tuple(free_reduce(u)) and b.n == 54
+    assert b.to_text() == _ref_to_text(free_reduce(u))
+
+
+def test_text_round_trip_on_long_b54_words(rng):
+    for _ in range(20):
+        u = [rng.choice([1, -1]) * rng.randint(1, 53) for _ in range(500)]
+        b = Braid(54, u)
+        text = b.to_text()
+        assert text == _ref_to_text(b.word)
+        assert from_text(54, text).word == b.word
+    assert to_text([53, -53, 10, -1]) == "s53 S53 s10 S1"
+    assert from_text(54, " s53\tS10\n s1 ").word == (53, -10, 1)
+
+
+@given(words54, words54)
+def test_overlap_matches_the_naive_loop(u, v):
+    a, b = tuple(free_reduce(u)), tuple(free_reduce(v))
+    # b starting with the inverse of a suffix of a gives long overlaps
+    c = tuple(free_reduce(_inv(a[len(a) // 2:]) + list(b)))
+    for x, y in ((a, b), (a, c), (c, a), (a, a), (u, v)):
+        assert _overlap(x, y) == _ref_overlap(x, y)
+
+
+def test_overlap_edge_cases():
+    a = (1, -2, 3, 5)
+    assert _overlap(a, tuple(_inv(a))) == 4             # total
+    assert _overlap(a, tuple(_inv(a)) + (7,)) == 4      # all of the shorter
+    assert _overlap(a[1:], tuple(_inv(a))) == 3
+    assert _overlap(a, (-5, -3, 1)) == 2
+    assert _overlap(a, (5, -3)) == 0                    # zero
+    assert _overlap(a, (-3,)) == 0
+    for x, y in (((), ()), ((), a), (a, ())):           # the empty word
+        assert _overlap(x, y) == 0
+
+
+@given(words54)
+def test_inverse_matches_the_per_letter_definition(u):
+    b = Braid(54, u)
+    assert b.inverse().word == tuple(-k for k in reversed(b.word))
+    assert b.inverse().inverse().word == b.word
+
+
+@given(words, words, st.integers(min_value=-3, max_value=3))
+def test_degree_is_cached_per_braid(u, v, e):
+    a, g = Braid(N, u), Braid(N, v)
+    # read the operands' degrees first, so a result that inherited a stale
+    # cached degree from an operand would show
+    assert a.degree == _ref_degree(a.word) == _ref_degree(u)
+    assert g.degree == _ref_degree(g.word)
+    for b in (a * g, g * a, a ** e, (a * g) ** e, a.conjugate(g),
+              a.inverse(), g.inverse() * a):
+        assert b.degree == _ref_degree(b.word)
+        assert b.degree == _ref_degree(b.word)
+
+
+@pytest.mark.parametrize("tok, message", [
+    ("s", "bad braid token 's'"),
+    ("S", "bad braid token 'S'"),
+    ("x1", "bad braid token 'x1'"),
+    ("s0", "letter 0 out of range for B_54"),
+    ("s01", "bad braid token 's01'"),
+    ("s-1", "bad braid token 's-1'"),
+    ("s+1", "bad braid token 's+1'"),
+    ("s1.5", "bad braid token 's1.5'"),
+    ("s54", "letter 54 out of range for B_54"),
+    ("S54", "letter -54 out of range for B_54"),
+    ("s\u0661", "bad braid token 's\u0661'"),   # an Arabic-Indic digit one
+])
+def test_malformed_tokens_raise(tok, message):
+    with pytest.raises(ValueError) as e:
+        from_text(54, f"s1 {tok} S2")
+    assert str(e.value) == message

@@ -146,6 +146,9 @@ def test_module_entry_point(tmp_path):
     {"strands": 3.0, "factors": [{"twist": "s1", "exp": 1, "tag": "branch"}]},
     {"strands": 3, "factors": [{"twist": "s1", "exp": 1.5, "tag": "composite"}]},
     [1, 2, 3],
+    {"strands": 3, "factors": [{"twist": "s", "exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"twist": "S", "exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"twist": "x1", "exp": 1, "tag": "branch"}]},
 ])
 @pytest.mark.parametrize("command", [["verify"], ["relations"],
                                      ["regen", "run", "--in"]])

@@ -69,6 +69,18 @@ def test_serialization_round_trip(rng):
                for a, b in zip(back, fz))
 
 
+@pytest.mark.parametrize("name", ["phi8_fz", "regen_fz"])
+def test_certificate_round_trip(request, name):
+    fz = request.getfixturevalue(name)
+    text = fz.dumps()
+    back = Factorization.loads(text)
+    assert back.dumps() == text
+    assert back.strands == fz.strands and len(back) == len(fz)
+    for a, b in zip(back, fz):
+        assert a.twist == b.twist and a.transport == b.transport
+        assert (a.exponent, a.tag, a.label) == (b.exponent, b.tag, b.label)
+
+
 def test_conj_factorization_preserves_full_twist(rng):
     for n in (2, 3, 5, 8):
         fz = _random_full_twist_factorization(rng, n, moves=15)

@@ -4,6 +4,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from braidforge.arcs import ABOVE, BELOW, PunctureConfig, arc_twist
 from braidforge.braid import Braid, artin_gen, delta_squared
@@ -28,6 +30,33 @@ from conftest import random_braid
 def test_cable_word_of_one_crossing():
     assert cable_word(2, [1]) == [2, 3, 1, 2]
     assert cable_word(2, [-1]) == [-2, -1, -3, -2]
+
+
+def _ref_cable_word(word) -> list:
+    """The per-letter definition of the 2-cabling."""
+    out = []
+    for g in word:
+        k = abs(g)
+        w = [2 * k, 2 * k + 1, 2 * k - 1, 2 * k]
+        out.extend(w if g > 0 else [-x for x in reversed(w)])
+    return out
+
+
+letters27 = st.integers(min_value=-26, max_value=26).filter(lambda k: k != 0)
+
+
+@given(st.lists(letters27, max_size=30))
+def test_cable_word_matches_the_per_letter_definition(u):
+    assert cable_word(27, u) == _ref_cable_word(u)
+    assert cable(Braid(27, u)).word == tuple(_ref_cable_word(Braid(27, u).word))
+
+
+def test_cable_word_on_long_words(rng):
+    for _ in range(10):
+        u = [rng.choice([1, -1]) * rng.randint(1, 26) for _ in range(400)]
+        assert cable_word(27, u) == _ref_cable_word(u)
+    assert cable_word(27, []) == []
+    assert cable_word(27, [-26, 26]) == [-52, -51, -53, -52, 52, 53, 51, 52]
 
 
 def test_cable_is_a_homomorphism(rng):
@@ -324,6 +353,21 @@ def test_regenerated_audit(regen_fz):
     assert audit["total"] == 2862
     assert audit["parasitic"] == 1728
     assert audit["per_vertex"] == {j: 126 for j in range(1, 10)}
+
+
+def test_regen_audit_matches_the_per_factor_sums(regen_fz):
+    def degree(f):
+        return sum(1 if k > 0 else -1 for k in f.twist.word) * f.exponent
+
+    per_vertex = {}
+    for f in regen_fz:
+        if f.label.startswith("V"):
+            v = int(f.label[1:].split(":")[0].split("|")[0])
+            per_vertex[v] = per_vertex.get(v, 0) + degree(f)
+    assert regen_audit(regen_fz) == {
+        "total": sum(map(degree, regen_fz)),
+        "parasitic": sum(degree(f) for f in regen_fz if f.label.startswith("D")),
+        "per_vertex": per_vertex}
 
 
 def test_regenerated_product(regen_fz):
