@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .data import golden_json, golden_names
-from .degeneration import build_tt, markers, phi8, tilde_Cj, tilde_Delta2
+from .degeneration import build_tt, markers, phi8
 from .factorization import Factorization
 from .lefschetz import golden_check
 from .regeneration import (conic_identity, conic_tables, hv_diff,
@@ -68,7 +68,14 @@ def _write(path: str, text: str, manifest: RunManifest):
     manifest.add_output(path, text)
 
 
-def _emit_report(rep: VerificationReport, args, manifest: RunManifest) -> int:
+def _emit_report(rep: VerificationReport, args, manifest: RunManifest,
+                 fz: Factorization | None = None) -> int:
+    """Print the checks and write --report; a certificate fz first gets its
+    --identity checks and is written to --out."""
+    if fz is not None and args.identity:
+        rep.checks.extend(check_full_twist(fz).checks)
+    if fz is not None and args.out:
+        _write(args.out, fz.dumps(), manifest)
     for line in rep.lines():
         print(line)
     if getattr(args, "report", None):
@@ -80,58 +87,41 @@ def _emit_report(rep: VerificationReport, args, manifest: RunManifest) -> int:
 
 def cmd_degen(args) -> int:
     manifest = RunManifest("degen")
-    g = build_tt()
-    fz = phi8(g)
+    fz = phi8(build_tt())
     rep = VerificationReport()
     if args.audit:
-        c_total = sum(tilde_Cj(g, j).degree for j in g.vertices)
-        d_total = sum(tilde_Delta2(g, j).degree for j in g.vertices)
-        rep.totals = {"parasitic": c_total, "vertex": d_total,
-                      "total": fz.degree}
-        rep.add("parasitic degree == 432", c_total == 432,
-                "" if c_total == 432 else f"got {c_total}")
-        rep.add("vertex degree == 270", d_total == 270,
-                "" if d_total == 270 else f"got {d_total}")
-        rep.add("total degree == 702", fz.degree == 702,
-                "" if fz.degree == 702 else f"got {fz.degree}")
-        print(f"totals: parasitic {c_total}, vertex {d_total}, "
-              f"total {fz.degree}")
-    if args.identity:
-        for c in check_full_twist(fz).checks:
-            rep.checks.append(c)
-    if args.out:
-        _write(args.out, fz.dumps(), manifest)
-    return _emit_report(rep, args, manifest)
+        a = regen_audit(fz)
+        rep.totals = t = {"parasitic": a["parasitic"], "total": a["total"],
+                          "vertex": sum(a["per_vertex"].values())}
+        for key, want in (("parasitic", 432), ("vertex", 270), ("total", 702)):
+            rep.expect(f"{key} degree", want, t[key])
+        print(f"totals: parasitic {t['parasitic']}, vertex {t['vertex']}, "
+              f"total {t['total']}")
+    return _emit_report(rep, args, manifest, fz)
 
 
 def cmd_regen(args) -> int:
     manifest = RunManifest("regen")
-    g = build_tt()
-    if args.infile:
-        if _load(args.infile, manifest) != phi8(g):
-            print("input factorization differs from the engine's "
-                  "degenerated factorization", file=sys.stderr)
-            return 1
-    fz = regenerate(g)
+    src = _load(args.infile, manifest) if args.infile else None
+    try:
+        if src is not None and not (gate := check_full_twist(src)).passed:
+            raise ValueError("input factorization differs from Delta^2: "
+                             + "; ".join(c["witness"] for c in gate.checks
+                                         if c["status"] == "fail"))
+        fz = regenerate(build_tt(), src)
+    except ValueError as e:
+        print(f"forge regen: {e}", file=sys.stderr)
+        return 1
     rep = VerificationReport()
     if args.audit:
         a = regen_audit(fz)
         rep.totals = a
-        rep.add("total degree == 2862", a["total"] == 2862,
-                "" if a["total"] == 2862 else f"got {a['total']}")
-        rep.add("parasitic degree == 1728", a["parasitic"] == 1728,
-                "" if a["parasitic"] == 1728 else f"got {a['parasitic']}")
-        bad = {v: d for v, d in a["per_vertex"].items() if d != 126}
-        rep.add("per-vertex degree == 126", not bad,
-                "" if not bad else f"off: {bad}")
+        rep.expect("total degree", 2862, a["total"])
+        rep.expect("parasitic degree", 1728, a["parasitic"])
+        rep.expect("per-vertex degree", 126, a["per_vertex"])
         print(f"totals: {a['total']} (parasitic {a['parasitic']}, "
               f"per-vertex {sorted(a['per_vertex'].values())})")
-    if args.identity:
-        for c in check_full_twist(fz).checks:
-            rep.checks.append(c)
-    if args.out:
-        _write(args.out, fz.dumps(), manifest)
-    return _emit_report(rep, args, manifest)
+    return _emit_report(rep, args, manifest, fz)
 
 
 def cmd_table(args) -> int:
@@ -209,22 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("degen", help="build the degenerated factorization")
     d.add_argument("target", choices=["phi8"])
-    d.add_argument("--audit", action="store_true")
-    d.add_argument("--identity", action="store_true",
-                   help="also certify the full-twist product")
-    d.add_argument("--out")
-    d.add_argument("--report")
     d.set_defaults(fn=cmd_degen)
 
     r = sub.add_parser("regen", help="double the factorization (27 -> 54)")
     rs = r.add_subparsers(dest="subcommand", required=True)
     rr = rs.add_parser("run")
     rr.add_argument("--in", dest="infile")
-    rr.add_argument("--out")
-    rr.add_argument("--audit", action="store_true")
-    rr.add_argument("--identity", action="store_true")
-    rr.add_argument("--report")
     rr.set_defaults(fn=cmd_regen)
+    for q in (d, rr):
+        q.add_argument("--audit", action="store_true")
+        q.add_argument("--identity", action="store_true",
+                       help="also certify the full-twist product")
+        q.add_argument("--out")
+        q.add_argument("--report")
 
     t = sub.add_parser("table", help="print one local monodromy table")
     t.add_argument("name")

@@ -29,11 +29,10 @@ from .factorization import COMPOSITE_TAG, Factor, Factorization
 class DegenGraph:
     """27 lines over 9 six-points, with lex orders."""
 
-    __slots__ = ("lines", "planes", "vertices", "_incident")
+    __slots__ = ("lines", "vertices", "_incident")
 
-    def __init__(self, lines, planes):
+    def __init__(self, lines):
         self.lines = tuple(lines)      # lines[t-1] = (alpha, beta), alpha < beta
-        self.planes = tuple(planes)    # triangles as vertex triples
         self.vertices = tuple(range(1, max(b for _, b in self.lines) + 1))
         inc = {v: [] for v in self.vertices}
         for t, (a, b) in enumerate(self.lines, start=1):
@@ -74,12 +73,7 @@ def build_tt() -> DegenGraph:
                 e = tuple(sorted((vnum(r, c), vnum(r + dr, c + dc))))
                 edges.add(e)
     lines = sorted(edges, key=lambda ab: (ab[1], ab[0]))
-    planes = []
-    for r in range(3):
-        for c in range(3):
-            planes.append((vnum(r, c), vnum(r, c + 1), vnum(r + 1, c + 1)))
-            planes.append((vnum(r, c), vnum(r + 1, c), vnum(r + 1, c + 1)))
-    g = DegenGraph(lines, planes)
+    g = DegenGraph(lines)
     assert g.n_lines == 27
     assert all(len(g.incident_lines(v)) == 6 for v in g.vertices)
     return g

@@ -90,6 +90,9 @@ class Factor:
     def from_json(cls, n: int, obj: dict) -> "Factor":
         if type(obj["exp"]) is not int:
             raise ValueError(f"exponent must be an integer, got {obj['exp']!r}")
+        for field in ("twist", "transport", "tag", "label"):
+            if not isinstance(obj.get(field, ""), str):
+                raise ValueError(f"{field} must be a string, got {obj[field]!r}")
         transport = from_text(n, obj.get("transport", ""))
         return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
                    transport=transport, label=obj.get("label", ""))

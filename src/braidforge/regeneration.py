@@ -46,7 +46,8 @@ from .arcs import (ABOVE, BELOW, PunctureConfig, arc_twist, composite_twist,
                    pair_twists)
 from .braid import Braid, artin_gen, block_half_twist, delta_squared
 from .data import golden_json
-from .factorization import EXP_TAG, Factor, Factorization
+from .degeneration import phi8
+from .factorization import COMPOSITE_TAG, EXP_TAG, Factor, Factorization
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +266,6 @@ class DoublingMap:
     def __init__(self, base_labels):
         self.base = PunctureConfig(base_labels)
         self.doubled = PunctureConfig(doubled_labels(base_labels))
-        if self.doubled.n != 2 * self.base.n:
-            raise ValueError("doubling must exactly double the punctures")
 
 
 def _factor_ends(dm: DoublingMap, f: Factor):
@@ -526,54 +525,71 @@ def _branch_assignment(g) -> dict:
     return lines_of
 
 
-def _vertex_split(f: Factor, n: int) -> list:
-    """A vertex full-twist factor split into 30 transported frame letters."""
+def _where(i: int, f: Factor) -> str:
+    """Names the i-th (1-based) factor of a certificate in a message."""
+    return f"factor {i} {f.label or f!r}"
+
+
+def _vertex_split(f: Factor, i: int) -> list:
+    """The i-th factor, a vertex full twist, as 30 transported frame letters."""
     core = f.twist.conjugate(f.transport.inverse())
     inf, perms = core.normal_form()
-    support = sorted({i for p in perms for i in range(n) if p[i] != i})
+    support = sorted({s for p in perms for s in range(f.n) if p[s] != s})
     if (inf != 0 or len(support) != 6
             or support != list(range(support[0], support[0] + 6))
-            or core != _block_delta2(n, support[0] + 1, 6)):
-        raise ValueError("vertex factor core is not a six-strand block twist")
+            or core != _block_delta2(f.n, support[0] + 1, 6)):
+        raise ValueError(f"{_where(i, f)}: vertex factor core is not a "
+                         "six-strand block twist")
     a0 = support[0] + 1
-    return [Factor(artin_gen(n, k), 1, "branch",
+    return [Factor(artin_gen(f.n, k), 1, "branch",
                    label=f"{f.label}|H{k - a0 + 1}").conjugate(f.transport)
             for _round in range(6) for k in range(a0, a0 + 5)]
 
 
-def regenerate(g) -> Factorization:
-    """The doubled factorization on 54 strands.
+def regenerate(g, fz: Factorization | None = None) -> Factorization:
+    """The doubled factorization on 54 strands of fz (default `phi8(g)`).
 
-    Parasitic factors are cabled one-for-one (ribbon full twists, degree 8).
-    Each vertex full twist is split into thirty frame letters, cabled
-    (degree 4 each), and followed by the three deferred pair twists of the
-    lines assigned to the vertex, transported through the cabled suffix.
+    One pass over fz: a parasitic factor is cabled (a ribbon full twist,
+    degree 8); the composite labelled V{j}: becomes thirty cabled frame
+    letters (degree 4 each) and the pair twists Z^2_{tt'} of the three lines
+    assigned to vertex j.  Transport rule: with S the product of the factors
+    of fz after the composite, a pair twist is cable(S) sigma_{2t-1}^2
+    cable(S)^-1.  A ValueError names a composite without a vertex label, a
+    vertex's second composite, and the vertices without one.
     """
-    from .degeneration import tilde_Cj, tilde_Delta2
-
     n = g.n_lines
+    fz = phi8(g) if fz is None else fz
     lines_of = _branch_assignment(g)
-    groups = [(j, tilde_Cj(g, j), tilde_Delta2(g, j)) for j in g.vertices]
-    # suffix products in the degenerated group, vertex j exclusive
-    suffix = {g.vertices[-1]: Braid(n)}
-    for j, cj, dj in reversed(groups):
-        suffix[j - 1] = cj.product() * dj.product() * suffix[j]
-    out = []
-    for j, cj, dj in groups:
-        for f in cj.factors:
+    after, s = {}, Braid(n)        # backward pass: S after each composite
+    for i in range(len(fz), 0, -1):
+        if fz[i - 1].tag == COMPOSITE_TAG:
+            after[i] = s
+        s = fz[i - 1].braid() * s
+    out, seen = [], {}
+    for i, f in enumerate(fz.factors, 1):
+        if f.tag != COMPOSITE_TAG:
             out.append(cable_factor(f))
-        for vf in dj.factors:
-            for f in _vertex_split(vf, n):
-                out.append(cable_factor(f))
-        sci = cable(suffix[j]).inverse()
-        for t in lines_of[j]:
-            out.append(Factor(artin_gen(2 * n, 2 * t - 1), 2, "node",
-                              label=f"V{j}:Z2[{t},{t}']").conjugate(sci))
+            continue
+        m = re.match(r"~*V(\d+):", f.label)    # ~ marks a complex conjugate
+        j = int(m.group(1)) if m else None
+        if j not in lines_of or j in seen:
+            raise ValueError(f"{_where(i, f)}: " + (
+                f"second composite of vertex {j}, after {seen[j]}"
+                if j in seen else "composite without a vertex label"))
+        seen[j] = _where(i, f)
+        out.extend(map(cable_factor, _vertex_split(f, i)))
+        sci = cable(after[i]).inverse()
+        out.extend(Factor(artin_gen(2 * n, 2 * t - 1), 2, "node",
+                          label=f"V{j}:Z2[{t},{t}']").conjugate(sci)
+                   for t in lines_of[j])
+    missing = [j for j in g.vertices if j not in seen]
+    if missing:
+        raise ValueError(f"no composite factor for vertices {missing}")
     return Factorization(2 * n, out)
 
 
 def regen_audit(fz: Factorization) -> dict:
-    """Degree bookkeeping of the doubled factorization, in one pass."""
+    """Degree bookkeeping by label: D... parasitic, V<j>... vertex j."""
     total = parasitic = 0
     per_vertex = {}
     for f in fz.factors:

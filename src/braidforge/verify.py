@@ -25,6 +25,16 @@ class VerificationReport:
             raise ValueError("a failing check requires a witness")
         self.checks.append({"name": name, "status": status, "witness": witness})
 
+    def expect(self, name: str, want, got):
+        """The check "<name> == <want>", witnessed by "got <got>"; a dict
+        `got` checks each value and its witness names those that are off."""
+        if isinstance(got, dict):
+            got = {k: v for k, v in got.items() if v != want}
+            ok, witness = not got, f"off: {got}"
+        else:
+            ok, witness = got == want, f"got {got}"
+        self.add(f"{name} == {want}", ok, "" if ok else witness)
+
     @property
     def passed(self) -> bool:
         return all(c["status"] != "fail" for c in self.checks)
@@ -147,43 +157,33 @@ def _twist_pair(fac: Factor):
     return None
 
 
-def _expand_composites(f: Factorization):
-    """(1-based index of the factor in f, expanded factor) pairs."""
-    from .regeneration import _vertex_split
-    for i, fac in enumerate(f.factors, 1):
-        try:
-            parts = (_vertex_split(fac, fac.n) if fac.tag == COMPOSITE_TAG
-                     else [fac])
-        except ValueError as e:
-            raise ValueError(f"factor {i} {fac.label or fac!r}: {e}") from None
-        for part in parts:
-            yield i, part
-
-
 def emit_relations(f: Factorization) -> list:
-    """One van Kampen relation template per (expanded) factor.
+    """One van Kampen relation template per factor, a vertex composite
+    expanded into its frame letters.
 
     r=1: the two local generators are identified; r=2: they commute;
     r=3: they satisfy the braid relation.  Generators are written as
     conjugates of the puncture generators G1..Gn by the factor's arc word.
     """
+    from .regeneration import _vertex_split, _where
     out = []
-    for i, fac in _expand_composites(f):
-        pair = _twist_pair(fac)
-        if pair is None:
-            raise ValueError(
-                f"factor {i} {fac.label or fac!r} is not a half twist")
-        a, b = pair
-        w = to_text(fac.twist.word) or "e"
-        A, B = f"(G{a})^[{w}]", f"(G{b})^[{w}]"
-        if fac.exponent == 1:
-            rel = f"{A} = {B}"
-        elif fac.exponent == 2:
-            rel = f"[{A}, {B}] = 1"
-        elif fac.exponent == 3:
-            rel = f"{A} {B} {A} = {B} {A} {B}"
-        else:
-            rel = f"({A} {B})^2 = ({B} {A})^2"
-        out.append({"label": fac.label, "exponent": fac.exponent,
-                    "relation": rel})
+    for i, factor in enumerate(f.factors, 1):
+        for fac in (_vertex_split(factor, i) if factor.tag == COMPOSITE_TAG
+                    else [factor]):
+            pair = _twist_pair(fac)
+            if pair is None:
+                raise ValueError(f"{_where(i, fac)} is not a half twist")
+            a, b = pair
+            w = to_text(fac.twist.word) or "e"
+            A, B = f"(G{a})^[{w}]", f"(G{b})^[{w}]"
+            if fac.exponent == 1:
+                rel = f"{A} = {B}"
+            elif fac.exponent == 2:
+                rel = f"[{A}, {B}] = 1"
+            elif fac.exponent == 3:
+                rel = f"{A} {B} {A} = {B} {A} {B}"
+            else:
+                rel = f"({A} {B})^2 = ({B} {A})^2"
+            out.append({"label": fac.label, "exponent": fac.exponent,
+                        "relation": rel})
     return out

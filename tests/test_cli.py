@@ -11,6 +11,7 @@ from braidforge.cli import main
 from braidforge.degeneration import build_tt, phi8
 from braidforge.factorization import Factor
 from braidforge.factorization import Factorization, frame_factorization
+from braidforge.factorization import hurwitz_move
 
 
 def test_usage_error_exits_2():
@@ -114,6 +115,36 @@ def test_regen_rejects_a_factor_conjugated_by_s1(tmp_path, capsys):
     assert "differs" in capsys.readouterr().err
 
 
+def test_regen_regenerates_a_moved_certificate(tmp_path):
+    fz = phi8(build_tt())
+    for i in (5, 60, 150, 224):
+        fz = hurwitz_move(fz, i)
+    path = tmp_path / "moved.json"
+    path.write_text(fz.dumps())
+    assert main(["regen", "run", "--in", str(path), "--identity"]) == 0
+
+
+def test_regen_of_phi8_file_matches_the_default(tmp_path):
+    src, x, y = (tmp_path / n for n in ("phi8.json", "x.json", "y.json"))
+    assert main(["degen", "phi8", "--out", str(src)]) == 0
+    assert main(["regen", "run", "--in", str(src), "--out", str(x)]) == 0
+    assert main(["regen", "run", "--out", str(y)]) == 0
+    assert x.read_bytes() == y.read_bytes()
+
+
+def test_regen_names_a_relabelled_composite(tmp_path, capsys):
+    fz = phi8(build_tt())
+    i = next(k for k, f in enumerate(fz) if f.label.startswith("V3:"))
+    f = fz.factors[i]
+    label = "V4:" + f.label[3:]
+    _, path = _phi8_with(tmp_path, i, Factor(f.twist, f.exponent, f.tag,
+                                             f.transport, label))
+    assert main(["regen", "run", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"factor {i + 1} {label!r}" in err
+
+
 def test_regen_audit(tmp_path, capsys):
     out = tmp_path / "phi0.json"
     assert main(["regen", "run", "--audit", "--out", str(out)]) == 0
@@ -149,6 +180,12 @@ def test_module_entry_point(tmp_path):
     {"strands": 3, "factors": [{"twist": "s", "exp": 1, "tag": "branch"}]},
     {"strands": 3, "factors": [{"twist": "S", "exp": 1, "tag": "branch"}]},
     {"strands": 3, "factors": [{"twist": "x1", "exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"twist": 5, "exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": "branch",
+                                "transport": 5}]},
+    {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": ["branch"]}]},
+    {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": "branch",
+                                "label": 7}]},
 ])
 @pytest.mark.parametrize("command", [["verify"], ["relations"],
                                      ["regen", "run", "--in"]])

@@ -99,3 +99,10 @@ def test_concatenation():
     assert (a + b).product() == delta_squared(3) ** 2
     with pytest.raises(ValueError):
         a + frame_factorization(4)
+
+
+@pytest.mark.parametrize("field", ["twist", "transport", "tag", "label"])
+def test_from_json_names_a_field_that_is_no_string(field):
+    obj = {"twist": "s1", "exp": 1, "tag": "branch", field: 7}
+    with pytest.raises(ValueError, match=f"^{field} must be a string, got 7$"):
+        Factor.from_json(3, obj)

@@ -1,5 +1,6 @@
 """Doubling rules, cabling oracles, splitting identities, and invariance."""
 
+import random
 import re
 import time
 
@@ -11,6 +12,7 @@ from braidforge.arcs import ABOVE, BELOW, PunctureConfig, arc_twist
 from braidforge.braid import Braid, artin_gen, delta_squared
 from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
+from braidforge.factorization import conj_factorization
 from braidforge.regeneration import (DoublingMap, _block_delta2, _pair_rho,
                                      _revprod, atom_factors, band_full_twist,
                                      cable, cable_word, conic_identity,
@@ -19,6 +21,7 @@ from braidforge.regeneration import (DoublingMap, _block_delta2, _pair_rho,
                                      parse_regen_atom, partial_cable,
                                      regen_audit, regen_rule1, regen_rule2,
                                      regen_rule3)
+from braidforge.regeneration import _branch_assignment, regenerate
 from braidforge.verify import hurwitz_equivalent
 from conftest import random_braid
 
@@ -368,6 +371,94 @@ def test_regen_audit_matches_the_per_factor_sums(regen_fz):
         "total": sum(map(degree, regen_fz)),
         "parasitic": sum(degree(f) for f in regen_fz if f.label.startswith("D")),
         "per_vertex": per_vertex}
+
+
+def _moved(fz, seed, moves=10):
+    """fz after `moves` seeded Hurwitz moves."""
+    rng = random.Random(seed)
+    for _ in range(moves):
+        fz = hurwitz_move(fz, rng.randint(1, len(fz) - 1),
+                          rng.choice(["left", "right"]))
+    return fz
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "conj"])
+def test_regenerate_any_certificate_of_phi8(graph, phi8_fz, seed):
+    """Regenerating a Hurwitz move or the complex conjugate of phi8 again
+    gives 513 factors of total degree 2862 whose product is Delta^2_54."""
+    h = conj_factorization(phi8_fz) if seed == "conj" else _moved(phi8_fz, seed)
+    assert h.factors != phi8_fz.factors
+    fz = regenerate(graph, h)
+    assert len(fz) == 513 and fz.degree == 2862
+    assert fz.product() == delta_squared(54)
+    # the parasitic factors are those of h, cabled, in h's order
+    assert ([f.twist for f in fz if f.label.startswith(("D", "~D"))]
+            == [cable(f.twist) for f in h if f.tag != "composite"])
+
+
+def test_pair_twists_follow_the_transport_rule(graph, phi8_fz):
+    """After the composite of vertex j, each pair twist of a line t assigned
+    to j is cable(S) . sigma_{2t-1} . cable(S)^-1, squared, with S the
+    product of the factors after the composite.  S is a pure braid, so the
+    value is sigma_{2t-1} either way; the transport records the rule."""
+    h = _moved(phi8_fz, 1)
+    twists = {f.label: f for f in regenerate(graph, h)}
+    for i, f in enumerate(h):
+        if f.tag != "composite":
+            continue
+        j = int(f.label[1:f.label.index(":")])
+        cs = cable(Factorization(27, h.factors[i + 1:]).product())
+        for t in _branch_assignment(graph)[j]:
+            pair = twists[f"V{j}:Z2[{t},{t}']"]
+            assert pair.exponent == 2
+            assert pair.twist == cs * artin_gen(54, 2 * t - 1) * cs.inverse()
+            assert pair.transport == cs.inverse()
+
+
+def _relabelled(fz, i, label):
+    f = fz.factors[i]
+    factors = list(fz.factors)
+    factors[i] = Factor(f.twist, f.exponent, f.tag, f.transport, label)
+    return Factorization(fz.strands, factors)
+
+
+def _composite(fz, vertex):
+    return next(i for i, f in enumerate(fz) if f.label.startswith(f"V{vertex}:"))
+
+
+def test_regenerate_names_a_composite_without_a_vertex(graph, phi8_fz):
+    i = _composite(phi8_fz, 5)
+    with pytest.raises(ValueError) as e:
+        regenerate(graph, _relabelled(phi8_fz, i, "Delta2<block>"))
+    assert str(e.value) == (f"factor {i + 1} 'Delta2<block>': "
+                            "composite without a vertex label")
+
+
+def test_regenerate_names_a_second_composite(graph, phi8_fz):
+    i, k = _composite(phi8_fz, 3), _composite(phi8_fz, 4)
+    label = "V4:" + phi8_fz[i].label[3:]
+    with pytest.raises(ValueError) as e:
+        regenerate(graph, _relabelled(phi8_fz, i, label))
+    assert str(e.value) == (f"factor {k + 1} {phi8_fz[k].label!r}: second "
+                            f"composite of vertex 4, after factor {i + 1} "
+                            f"{label!r}")
+
+
+def test_regenerate_names_the_vertices_without_a_composite(graph, phi8_fz):
+    kept = [f for f in phi8_fz if not f.label.startswith(("V2:", "V7:"))]
+    with pytest.raises(ValueError, match=r"vertices \[2, 7\]$"):
+        regenerate(graph, Factorization(27, kept))
+
+
+def test_regenerate_names_a_composite_that_is_no_block_twist(graph, phi8_fz):
+    i = _composite(phi8_fz, 6)
+    f = phi8_fz[i]
+    bad = Factorization(27, phi8_fz.factors[:i] + (
+        Factor(f.twist * artin_gen(27, 1), 1, f.tag, f.transport, f.label),)
+        + phi8_fz.factors[i + 1:])
+    with pytest.raises(ValueError, match=rf"^factor {i + 1} 'V6:.*': vertex "
+                       "factor core is not a six-strand block twist$"):
+        regenerate(graph, bad)
 
 
 def test_regenerated_product(regen_fz):

@@ -10,6 +10,21 @@ from braidforge.verify import (VerificationReport, artin_census,
                                emit_relations, hurwitz_equivalent)
 
 
+def test_expect_names_the_wanted_value_and_what_came():
+    rep = VerificationReport()
+    rep.expect("total degree", 702, 702)
+    rep.expect("vertex degree", 270, 268)
+    rep.expect("per-vertex degree", 126, {1: 126, 2: 124, 3: 126})
+    rep.expect("per-vertex degree", 126, {1: 126})
+    assert rep.checks == [
+        {"name": "total degree == 702", "status": "pass", "witness": ""},
+        {"name": "vertex degree == 270", "status": "fail",
+         "witness": "got 268"},
+        {"name": "per-vertex degree == 126", "status": "fail",
+         "witness": "off: {2: 124}"},
+        {"name": "per-vertex degree == 126", "status": "pass", "witness": ""}]
+
+
 def test_report_requires_witness_on_failure():
     rep = VerificationReport()
     rep.add("ok", True)
