@@ -4,8 +4,9 @@ Punctures sit on the real line (or in conjugate pairs just off it), ordered by
 real part, one label per strand slot (`PunctureConfig`).  An arc between two
 punctures is fixed by the side (above or below the real line) on which it
 passes each puncture between them, and the package only ever uses its
-positive half-twist, so an arc *is* that braid: `arc_twist` is the one place
-that builds it.
+positive half-twist, so an arc *is* that braid: `arc_factor` is the one place
+that builds it, as a factor whose core is sigma_k and whose transport is the
+inverse drag, and `arc_twist` is that factor's twist.
 
 Side convention (calibrated against the worked monodromy computations):
   - positive half-twists are counterclockwise;
@@ -19,6 +20,7 @@ Complex conjugation (reflection in the real line, above <-> below) lives in
 from __future__ import annotations
 
 from .braid import Braid, artin_gen, block_half_twist
+from .factorization import Factor
 
 BELOW = "below"
 ABOVE = "above"
@@ -61,16 +63,18 @@ class PunctureConfig:
         return f"PunctureConfig({self._punctures})"
 
 
-def arc_twist(cfg: PunctureConfig, a, b, side: str = BELOW,
-              flipped=()) -> Braid:
-    """Positive half-twist along the arc from puncture a to puncture b.
+def arc_factor(cfg: PunctureConfig, a, b, exponent: int, tag: str,
+               side: str = BELOW, flipped=(), label: str = "") -> Factor:
+    """(half-twist along the arc from puncture a to puncture b)^exponent.
 
     The arc passes every puncture strictly between a and b on `side`,
     except the labels in `flipped`, which it passes on the other side.  The
     half-twist is sigma_a conjugated back by the drag T that brings the right
     end next to the left one: T . sigma_a . T^-1, where T is
     sigma_{b-1}^e ... sigma_{a+1}^e with e = +1 for a puncture passed below
-    and -1 for one passed above (1-based slots).
+    and -1 for one passed above (1-based slots).  The factor stores the core
+    sigma_a and the transport T^-1, so it passes `Factor.is_half_twist`; the
+    tag must be one that admits the exponent.
     """
     pa, pb = sorted((cfg.position(a), cfg.position(b)))
     if pa == pb:
@@ -82,7 +86,14 @@ def arc_twist(cfg: PunctureConfig, a, b, side: str = BELOW,
     for p in range(pb - 1, pa, -1):
         below = (side == BELOW) != (cfg.label_at(p) in flipped)
         word.append(p + 1 if below else -(p + 1))
-    return artin_gen(cfg.n, pa + 1).conjugate(Braid(cfg.n, word).inverse())
+    return Factor._of(artin_gen(cfg.n, pa + 1), exponent, tag,
+                      Braid(cfg.n, word).inverse(), label)
+
+
+def arc_twist(cfg: PunctureConfig, a, b, side: str = BELOW,
+              flipped=()) -> Braid:
+    """Positive half-twist along the arc from a to b (see `arc_factor`)."""
+    return arc_factor(cfg, a, b, 1, "branch", side, flipped).twist
 
 
 def pair_twists(cfg: PunctureConfig, pairs, power: int = 1) -> Braid:

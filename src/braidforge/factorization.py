@@ -1,73 +1,119 @@
 """Factors and factorizations of braids.
 
-A Factor is a half-twist raised to an Artin exponent r in {1,2,3,4}, tagged
-with the singularity type it came from (branch/node/cusp/tangent), or a
-composite block (e.g. a full twist Delta^2<...>) with exponent 1.  A
-Factorization is an ordered product of factors, multiplied left to right.
+A Factor is a conjugate t^-1 . core . t of a local model, the core, raised
+to an Artin exponent r in {1,2,3,4} and tagged with the singularity type it
+came from (branch/node/cusp/tangent), or a composite block (e.g. a full twist
+Delta^2<...>) with exponent 1.  A Factorization is an ordered product of
+factors, multiplied left to right.
 """
 
 from __future__ import annotations
 
 import json
+from operator import neg
 
-from .braid import Braid, artin_gen, delta_squared, extend_reduced, from_text
+from .braid import Braid, artin_gen, extend_reduced, from_text
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
 EXP_TAG = {r: tag for tag, r in SINGULARITY_TAGS.items()}
 COMPOSITE_TAG = "composite"
 
 
-class Factor:
-    """twist^exponent with provenance.
+def _check_tag(exponent: int, tag: str) -> None:
+    if tag in SINGULARITY_TAGS:
+        if exponent != SINGULARITY_TAGS[tag]:
+            raise ValueError(
+                f"tag {tag!r} requires exponent {SINGULARITY_TAGS[tag]}, got {exponent}")
+    elif tag != COMPOSITE_TAG:
+        raise ValueError(f"unknown provenance tag {tag!r}")
 
-    Stores two braids, each a freely reduced word: `twist`, the braid raised
-    to the exponent, and `transport`, a braid w such that a half-twist twist
-    equals w^-1 . sigma_k . w for some k (checked by `is_half_twist`).
-    Composite factors store an arbitrary braid in `twist` with exponent 1
-    and tag "composite".
+
+class Factor:
+    """twist^exponent with provenance, twist = transport^-1 . core . transport.
+
+    Stores two braids, each a freely reduced word: the `core`, a local model,
+    and the `transport` t that carries it to its place.  The core is sigma_k
+    for a half-twist (checked by `is_half_twist`), the four-letter ribbon
+    crossing for a cabled factor and a block full twist for a vertex
+    composite (exponent 1, tag "composite").  The `twist` t^-1 . core . t is
+    derived on first read and cached; the hot paths never build it.
+
+    The public constructor takes the twist: with a non-empty transport t it
+    stores the core t . twist . t^-1.  A certificate stores each factor as
+    {"core", "transport", "exp", "tag", "label"}, the last two omitted when
+    empty; a factor written with "twist" in place of "core", the older
+    format, still loads through the constructor.
     """
 
-    __slots__ = ("twist", "exponent", "tag", "transport", "label")
+    __slots__ = ("core", "exponent", "tag", "transport", "label", "_twist")
 
     def __init__(self, twist: Braid, exponent: int, tag: str,
                  transport: Braid | None = None, label: str = ""):
-        if tag in SINGULARITY_TAGS:
-            if exponent != SINGULARITY_TAGS[tag]:
-                raise ValueError(
-                    f"tag {tag!r} requires exponent {SINGULARITY_TAGS[tag]}, got {exponent}")
-        elif tag != COMPOSITE_TAG:
-            raise ValueError(f"unknown provenance tag {tag!r}")
-        self.twist = twist
+        _check_tag(exponent, tag)
+        if transport is None:
+            transport = Braid(twist.n)
+        self.core = twist.conjugate(transport.inverse()) if transport.word else twist
         self.exponent = exponent
         self.tag = tag
-        self.transport = transport if transport is not None else Braid(twist.n)
+        self.transport = transport
         self.label = label
+        self._twist = twist
+
+    @classmethod
+    def _of(cls, core: Braid, exponent: int, tag: str, transport: Braid,
+            label: str = "") -> "Factor":
+        """A factor from its core and transport, exponent and tag known to agree."""
+        f = object.__new__(cls)
+        f.core = core
+        f.exponent = exponent
+        f.tag = tag
+        f.transport = transport
+        f.label = label
+        f._twist = None
+        return f
 
     @property
     def n(self) -> int:
-        return self.twist.n
+        return self.core.n
+
+    @property
+    def twist(self) -> Braid:
+        """transport^-1 . core . transport, built on first read."""
+        if self._twist is None:
+            self._twist = self.core.conjugate(self.transport)
+        return self._twist
+
+    def _extend(self, w: list, sign: int = 1) -> None:
+        """w <- free reduction of w . braid()^sign, for a freely reduced w."""
+        extend_reduced(w, self.transport.inverse().word)
+        extend_reduced(w, (self.core ** (sign * self.exponent)).word)
+        extend_reduced(w, self.transport.word)
 
     def braid(self) -> Braid:
-        return self.twist ** self.exponent
+        if self._twist is not None:
+            return self._twist ** self.exponent
+        w: list[int] = []
+        self._extend(w)
+        return Braid._reduced(self.n, tuple(w))
 
     @property
     def degree(self) -> int:
-        return self.twist.degree * self.exponent
+        return self.core.degree * self.exponent
 
     def is_half_twist(self) -> bool:
-        """Check twist == transport^-1 . sigma_k . transport for some k."""
-        if self.twist.degree != 1:
+        """Check core == sigma_k for some k, so twist = t^-1 . sigma_k . t."""
+        core = self.core
+        if core.degree != 1:
             return False
-        # undo the transport; what remains must be one Artin generator
-        core = self.twist.conjugate(self.transport.inverse())
         moved = core.moved_slots()
         if len(moved) != 2 or moved[1] != moved[0] + 1:
             return False
         return core == artin_gen(self.n, moved[0] + 1)
 
     def conjugate(self, g: Braid) -> "Factor":
-        return Factor(self.twist.conjugate(g), self.exponent, self.tag,
-                      transport=self.transport * g, label=self.label)
+        """g^-1 . self . g: the same core, transported by t . g."""
+        return Factor._of(self.core, self.exponent, self.tag,
+                          self.transport * g, self.label)
 
     def __eq__(self, other):
         if not isinstance(other, Factor):
@@ -79,7 +125,7 @@ class Factor:
         return f"Factor({self.label or self.twist.to_text()}, r={self.exponent}, {self.tag})"
 
     def to_json(self) -> dict:
-        out = {"twist": self.twist.to_text(), "exp": self.exponent, "tag": self.tag}
+        out = {"core": self.core.to_text(), "exp": self.exponent, "tag": self.tag}
         if self.label:
             out["label"] = self.label
         if self.transport.word:
@@ -90,12 +136,19 @@ class Factor:
     def from_json(cls, n: int, obj: dict) -> "Factor":
         if type(obj["exp"]) is not int:
             raise ValueError(f"exponent must be an integer, got {obj['exp']!r}")
-        for field in ("twist", "transport", "tag", "label"):
+        for field in ("core", "twist", "transport", "tag", "label"):
             if not isinstance(obj.get(field, ""), str):
                 raise ValueError(f"{field} must be a string, got {obj[field]!r}")
+        if ("core" in obj) == ("twist" in obj):
+            raise ValueError("a factor needs exactly one of core and twist")
         transport = from_text(n, obj.get("transport", ""))
-        return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
-                   transport=transport, label=obj.get("label", ""))
+        label = obj.get("label", "")
+        if "twist" in obj:
+            return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
+                       transport=transport, label=label)
+        _check_tag(obj["exp"], obj["tag"])
+        return cls._of(from_text(n, obj["core"]), obj["exp"], obj["tag"],
+                       transport, label)
 
 
 class Factorization:
@@ -137,10 +190,14 @@ class Factorization:
         return sum(f.degree for f in self.factors)
 
     def word(self) -> list:
-        """The freely reduced word of the product, cancelling at the joins."""
+        """The freely reduced word of the product, cancelling at the joins.
+
+        Each factor adds the pieces t^-1, core^exponent and t; no twist is
+        built.
+        """
         w: list[int] = []
         for f in self.factors:
-            extend_reduced(w, f.braid().word)
+            f._extend(w)
         return w
 
     def product(self) -> Braid:
@@ -150,7 +207,8 @@ class Factorization:
     def conjugate(self, g: Braid) -> "Factorization":
         if g.n != self.strands:
             raise ValueError("strand mismatch")
-        return Factorization(self.strands, [f.conjugate(g) for f in self.factors])
+        return Factorization._of(self.strands,
+                                 tuple(f.conjugate(g) for f in self.factors))
 
     def __eq__(self, other):
         if not isinstance(other, Factorization):
@@ -206,26 +264,23 @@ def conj_factorization(f: Factorization) -> Factorization:
 
     Mirroring the plane through the real axis sends a half twist along an
     arc to the (still positive) half twist along the mirrored arc; on words
-    this is braid reversal (read the twist word backwards, same signs).
+    this is braid reversal (read the twist word backwards, same signs),
+    which reverses the core and negates the transport's letters in place.
     Reversal is an anti-automorphism fixing the full twist, so the result is
     again a factorization of Delta^2_n.
     """
+    n = f.strands
     out = []
     for fac in reversed(f.factors):
         # reversal and negation keep a word freely reduced
-        tw = Braid._reduced(fac.n, fac.twist.word[::-1])
-        tr = Braid._reduced(fac.n, tuple(-x for x in fac.transport.word))
-        out.append(Factor(tw, fac.exponent, fac.tag, transport=tr,
-                          label=f"~{fac.label}" if fac.label else ""))
-    return Factorization(f.strands, out)
+        core = Braid._reduced(n, fac.core.word[::-1])
+        tr = Braid._reduced(n, tuple(map(neg, fac.transport.word)))
+        out.append(Factor._of(core, fac.exponent, fac.tag, tr,
+                              f"~{fac.label}" if fac.label else ""))
+    return Factorization._of(n, tuple(out))
 
 
 def frame_factorization(n: int) -> Factorization:
     """Delta^2_n written as n(n-1) frame half-twist factors."""
-    factors = []
-    for _ in range(n):
-        for k in range(1, n):
-            factors.append(Factor(artin_gen(n, k), 1, "branch", label=f"H{k}"))
-    fz = Factorization(n, factors)
-    assert fz.product() == delta_squared(n)
-    return fz
+    return Factorization(n, [Factor(artin_gen(n, k), 1, "branch", label=f"H{k}")
+                             for _ in range(n) for k in range(1, n)])

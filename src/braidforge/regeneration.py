@@ -42,7 +42,7 @@ import re
 from functools import lru_cache
 from itertools import chain
 
-from .arcs import (ABOVE, BELOW, PunctureConfig, arc_twist, composite_twist,
+from .arcs import (ABOVE, BELOW, PunctureConfig, arc_factor, composite_twist,
                    pair_twists)
 from .braid import Braid, artin_gen, block_half_twist, delta_squared
 from .data import golden_json
@@ -81,8 +81,9 @@ def cable(b: Braid) -> Braid:
 
 
 def cable_factor(f: Factor) -> Factor:
-    return Factor(cable(f.twist), f.exponent, f.tag,
-                  transport=cable(f.transport), label=f.label)
+    """The cabled factor: its core and its transport cabled."""
+    return Factor._of(cable(f.core), f.exponent, f.tag, cable(f.transport),
+                      f.label)
 
 
 def partial_cable(b: Braid, widths) -> tuple:
@@ -190,10 +191,9 @@ def branch_factors(cfg: PunctureConfig, i: str, j: str, label: str = "") -> list
     The long arc i->j' passes i' above and j below; the short arc i'->j is
     plain.  Any common conjugation is applied by the caller.
     """
-    long_arc = arc_twist(cfg, i, f"{j}'", flipped=(f"{i}'",))
-    short_arc = arc_twist(cfg, f"{i}'", j)
-    return [Factor(long_arc, 1, "branch", label=f"{label}Z1[{i},{j}']"),
-            Factor(short_arc, 1, "branch", label=f"{label}Z1[{i}',{j}]")]
+    return [arc_factor(cfg, i, f"{j}'", 1, "branch", flipped=(f"{i}'",),
+                       label=f"{label}Z1[{i},{j}']"),
+            arc_factor(cfg, f"{i}'", j, 1, "branch", label=f"{label}Z1[{i}',{j}]")]
 
 
 def node_factors(cfg: PunctureConfig, end_a, end_b,
@@ -211,22 +211,21 @@ def node_factors(cfg: PunctureConfig, end_a, end_b,
         return [Factor(tw, 1, "composite",
                        label=f"{label}Z2[{end_a[0]}{end_a[1]},{end_b[0]}{end_b[1]}]")]
     if not fat_a and not fat_b:
-        return [Factor(arc_twist(cfg, end_a, end_b, side), 2, "node",
-                       label=f"{label}Z2[{end_a},{end_b}]")]
+        return [arc_factor(cfg, end_a, end_b, 2, "node", side,
+                           label=f"{label}Z2[{end_a},{end_b}]")]
     # the longer arc passes the partner member of its fat end below
     if fat_a:
         (i, ip), j = end_a, end_b
-        long_tw = arc_twist(cfg, i, j, side, () if side == BELOW else (ip,))
-        short_tw = arc_twist(cfg, ip, j, side)
-        printed = [Factor(short_tw, 2, "node", label=f"{label}Z2[{ip},{j}]"),
-                   Factor(long_tw, 2, "node", label=f"{label}Z2[{i},{j}]")]
-    else:
-        i, (j, jp) = end_a, end_b
-        long_tw = arc_twist(cfg, i, jp, side, () if side == BELOW else (j,))
-        short_tw = arc_twist(cfg, i, j, side)
-        printed = [Factor(long_tw, 2, "node", label=f"{label}Z2[{i},{jp}]"),
-                   Factor(short_tw, 2, "node", label=f"{label}Z2[{i},{j}]")]
-    return printed
+        return [arc_factor(cfg, ip, j, 2, "node", side,
+                           label=f"{label}Z2[{ip},{j}]"),
+                arc_factor(cfg, i, j, 2, "node", side,
+                           () if side == BELOW else (ip,),
+                           label=f"{label}Z2[{i},{j}]")]
+    i, (j, jp) = end_a, end_b
+    return [arc_factor(cfg, i, jp, 2, "node", side,
+                       () if side == BELOW else (j,),
+                       label=f"{label}Z2[{i},{jp}]"),
+            arc_factor(cfg, i, j, 2, "node", side, label=f"{label}Z2[{i},{j}]")]
 
 
 def cusp_factors(cfg: PunctureConfig, end_a, end_b,
@@ -245,13 +244,13 @@ def cusp_factors(cfg: PunctureConfig, end_a, end_b,
     else:
         pair, single = end_b, end_a
         a, b = single, pair[0]          # near member is the left one
-    base = arc_twist(cfg, a, b, side)
     rho = _pair_rho(cfg, pair[0].rstrip("'"))
-    return [Factor(base.conjugate(rho.inverse()), 3, "cusp",
-                   label=f"{label}Z3[{a},{b}]_rho"),
-            Factor(base, 3, "cusp", label=f"{label}Z3[{a},{b}]"),
-            Factor(base.conjugate(rho), 3, "cusp",
-                   label=f"{label}Z3[{a},{b}]_rho-")]
+
+    def z3(suffix):
+        return arc_factor(cfg, a, b, 3, "cusp", side,
+                          label=f"{label}Z3[{a},{b}]{suffix}")
+    return [z3("_rho").conjugate(rho.inverse()), z3(""),
+            z3("_rho-").conjugate(rho)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +378,15 @@ def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
         # a single branch factor; the arc passes the partner of its first end
         # above (the long arc Z_{ij'}) and the other punctures on `side`
         partner = () if side == ABOVE else (f"{ea}'",)
-        return [Factor(arc_twist(cfg, ea, eb, side, partner), 1, "branch",
-                       label=f"{label}{text}")]
+        return [arc_factor(cfg, ea, eb, 1, "branch", side, partner,
+                           label=f"{label}{text}")]
     if exp == 2:
         return node_factors(cfg, ea, eb, side, label)
     if exp == 3 and not thin:
         return cusp_factors(cfg, ea, eb, side, label)
     if exp in (3, 4):
-        return [Factor(arc_twist(cfg, ea, eb, side), exp, EXP_TAG[exp],
-                       label=f"{label}{text}")]
+        return [arc_factor(cfg, ea, eb, exp, EXP_TAG[exp], side,
+                           label=f"{label}{text}")]
     raise ValueError(f"atom {text!r} cannot stand as a factor")
 
 
@@ -531,8 +530,9 @@ def _where(i: int, f: Factor) -> str:
 
 
 def _vertex_split(f: Factor, i: int) -> list:
-    """The i-th factor, a vertex full twist, as 30 transported frame letters."""
-    core = f.twist.conjugate(f.transport.inverse())
+    """The i-th factor, a vertex full twist, as 30 frame letters sharing its
+    transport."""
+    core = f.core
     inf, perms = core.normal_form()
     support = sorted({s for p in perms for s in range(f.n) if p[s] != s})
     if (inf != 0 or len(support) != 6
@@ -541,8 +541,8 @@ def _vertex_split(f: Factor, i: int) -> list:
         raise ValueError(f"{_where(i, f)}: vertex factor core is not a "
                          "six-strand block twist")
     a0 = support[0] + 1
-    return [Factor(artin_gen(f.n, k), 1, "branch",
-                   label=f"{f.label}|H{k - a0 + 1}").conjugate(f.transport)
+    return [Factor._of(artin_gen(f.n, k), 1, "branch", f.transport,
+                       f"{f.label}|H{k - a0 + 1}")
             for _round in range(6) for k in range(a0, a0 + 5)]
 
 
@@ -560,11 +560,13 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
     n = g.n_lines
     fz = phi8(g) if fz is None else fz
     lines_of = _branch_assignment(g)
-    after, s = {}, Braid(n)        # backward pass: S after each composite
+    # backward pass: cable(S)^-1 = cable(S^-1) after each composite, with
+    # S^-1 the inverses of the later factors, last factor first
+    after, s = {}, []
     for i in range(len(fz), 0, -1):
         if fz[i - 1].tag == COMPOSITE_TAG:
-            after[i] = s
-        s = fz[i - 1].braid() * s
+            after[i] = cable(Braid._reduced(n, tuple(s)))
+        fz[i - 1]._extend(s, -1)
     out, seen = [], {}
     for i, f in enumerate(fz.factors, 1):
         if f.tag != COMPOSITE_TAG:
@@ -577,10 +579,11 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
                 f"second composite of vertex {j}, after {seen[j]}"
                 if j in seen else "composite without a vertex label"))
         seen[j] = _where(i, f)
-        out.extend(map(cable_factor, _vertex_split(f, i)))
-        sci = cable(after[i]).inverse()
-        out.extend(Factor(artin_gen(2 * n, 2 * t - 1), 2, "node",
-                          label=f"V{j}:Z2[{t},{t}']").conjugate(sci)
+        ct = cable(f.transport)
+        out.extend(Factor._of(cable(h.core), 1, "branch", ct, h.label)
+                   for h in _vertex_split(f, i))
+        out.extend(Factor._of(artin_gen(2 * n, 2 * t - 1), 2, "node", after[i],
+                              f"V{j}:Z2[{t},{t}']")
                    for t in lines_of[j])
     missing = [j for j in g.vertices if j not in seen]
     if missing:

@@ -186,6 +186,12 @@ def test_module_entry_point(tmp_path):
     {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": ["branch"]}]},
     {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": "branch",
                                 "label": 7}]},
+    {"strands": 3, "factors": [{"core": 5, "exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"core": "s1", "twist": "s1", "exp": 1,
+                                "tag": "branch"}]},
+    {"strands": 3, "factors": [{"exp": 1, "tag": "branch", "transport": "s2"}]},
+    {"strands": 3, "factors": [{"core": "s1 x2", "exp": 1, "tag": "branch"}]},
+    {"strands": 3, "factors": [{"core": "s1", "exp": 2, "tag": "branch"}]},
 ])
 @pytest.mark.parametrize("command", [["verify"], ["relations"],
                                      ["regen", "run", "--in"]])

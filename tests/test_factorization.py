@@ -1,11 +1,18 @@
 """Factors, factorizations, Hurwitz moves, and complex conjugation."""
 
-import pytest
+import json
+from itertools import chain
 
-from braidforge.braid import Braid, artin_gen, delta_squared
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidforge.braid import Braid, artin_gen, delta_squared, free_reduce
 from braidforge.factorization import (Factor, Factorization,
                                       conj_factorization, frame_factorization,
                                       hurwitz_move)
+from braidforge.regeneration import regenerate
+from braidforge.verify import check_full_twist
 from conftest import random_braid
 
 
@@ -30,6 +37,13 @@ def test_frame_factorization_products():
     for n in (2, 3, 5):
         fz = frame_factorization(n)
         assert fz.degree == n * (n - 1)
+        assert fz.product() == delta_squared(n)
+
+
+def test_frame_factorization_is_delta_squared():
+    for n in range(2, 9):
+        fz = frame_factorization(n)
+        assert len(fz) == n * (n - 1)
         assert fz.product() == delta_squared(n)
 
 
@@ -101,8 +115,114 @@ def test_concatenation():
         a + frame_factorization(4)
 
 
-@pytest.mark.parametrize("field", ["twist", "transport", "tag", "label"])
+@pytest.mark.parametrize("field", ["twist", "transport", "tag", "label", "core"])
 def test_from_json_names_a_field_that_is_no_string(field):
     obj = {"twist": "s1", "exp": 1, "tag": "branch", field: 7}
     with pytest.raises(ValueError, match=f"^{field} must be a string, got 7$"):
         Factor.from_json(3, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"core": "s1", "twist": "s1", "exp": 1, "tag": "branch"},
+    {"exp": 1, "tag": "branch", "transport": "s2"},
+])
+def test_from_json_needs_exactly_one_of_core_and_twist(obj):
+    with pytest.raises(ValueError, match="^a factor needs exactly one of core and twist$"):
+        Factor.from_json(3, obj)
+
+
+def test_from_json_checks_the_tag_of_a_core():
+    with pytest.raises(ValueError, match="requires exponent 1"):
+        Factor.from_json(3, {"core": "s1", "exp": 2, "tag": "branch"})
+
+
+def test_of_derives_the_twist(rng):
+    for n in (2, 3, 5):
+        c, t = random_braid(rng, n), random_braid(rng, n, 9)
+        f = Factor._of(c, 1, "composite", t)
+        assert f.twist == t.inverse() * c * t
+        assert f.twist.word == tuple(free_reduce(t.inverse().word + c.word + t.word))
+        assert f.degree == c.degree and f.braid() == f.twist
+    g = random_braid(rng, 4)
+    f = Factor._of(artin_gen(4, 2), 2, "node", g)
+    assert f.twist == artin_gen(4, 2).conjugate(g) and f.is_half_twist()
+    assert f.braid().word == (f.twist ** 2).word
+
+
+def test_constructor_keeps_its_meaning(rng):
+    """Factor(twist, ..., transport) stores core = t . twist . t^-1."""
+    t = random_braid(rng, 4, 8)
+    twist = artin_gen(4, 3).conjugate(t)
+    f = Factor(twist, 3, "cusp", t)
+    assert f.core == artin_gen(4, 3) and f.core.word == (3,)
+    assert f.twist is twist and f.transport is t and f.is_half_twist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=6),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                          st.sampled_from(["left", "right"])), max_size=12),
+       st.booleans())
+def test_word_is_the_reduced_concatenation(n, moves, conj):
+    """word() extends with t^-1, core^e and t; it equals the free reduction
+    of the factors' braids written one after another."""
+    fz = frame_factorization(n)
+    for i, direction in moves:
+        fz = hurwitz_move(fz, 1 + i % (len(fz) - 1), direction)
+    if conj:
+        fz = conj_factorization(fz)
+    words = [f.braid().word for f in fz]
+    assert fz.word() == free_reduce(chain.from_iterable(words))
+    assert words == [(f.twist ** f.exponent).word for f in fz]
+
+
+def test_word_of_conjugated_phi8(phi8_fz):
+    """The same on composites, whose core is a 30-letter block twist."""
+    fz = conj_factorization(phi8_fz)
+    assert fz.word() == free_reduce(chain.from_iterable(f.braid().word for f in fz))
+
+
+def test_half_twist_counts(phi8_fz, regen_fz):
+    assert sum(f.is_half_twist() for f in phi8_fz) == 216
+    assert sum(f.is_half_twist() for f in regen_fz) == 27
+
+
+def _twist_format(fz: Factorization) -> str:
+    """fz as a certificate of the older format, each twist written out."""
+    factors = []
+    for f in fz:
+        obj = {"twist": f.twist.to_text(), "exp": f.exponent, "tag": f.tag}
+        if f.label:
+            obj["label"] = f.label
+        if f.transport.word:
+            obj["transport"] = f.transport.to_text()
+        factors.append(obj)
+    return json.dumps({"strands": fz.strands, "factors": factors})
+
+
+@pytest.mark.parametrize("name", ["phi8_fz", "regen_fz"])
+def test_twist_format_certificate_loads(request, name):
+    text = request.getfixturevalue(name).dumps()
+    fz = Factorization.loads(text)
+    back = Factorization.loads(_twist_format(fz))
+    assert back.strands == fz.strands and len(back) == len(fz)
+    for a, b in zip(back, fz):
+        assert a.twist == b.twist and a.transport == b.transport
+        assert (a.exponent, a.tag, a.label) == (b.exponent, b.tag, b.label)
+    assert back.dumps() == text
+    assert '"twist"' not in text and '"core"' in text
+
+
+def test_regenerated_certificate_is_small(graph):
+    assert len(regenerate(graph).dumps()) < 3_000_000
+
+
+def test_pipeline_builds_no_twist(phi8_fz, graph):
+    """Loading, regenerating, certifying and writing read cores and
+    transports only: no factor's twist is built."""
+    src = Factorization.loads(phi8_fz.dumps())
+    assert check_full_twist(src).passed
+    fz = regenerate(graph, src)
+    assert check_full_twist(fz).passed
+    fz.dumps()
+    assert all(f._twist is None for f in src.factors + fz.factors)

@@ -21,7 +21,7 @@ from braidforge.regeneration import (DoublingMap, _block_delta2, _pair_rho,
                                      parse_regen_atom, partial_cable,
                                      regen_audit, regen_rule1, regen_rule2,
                                      regen_rule3)
-from braidforge.regeneration import _branch_assignment, regenerate
+from braidforge.regeneration import _branch_assignment, conic_monodromy, regenerate
 from braidforge.verify import hurwitz_equivalent
 from conftest import random_braid
 
@@ -479,3 +479,19 @@ def test_worked_vertex_transcriptions():
         assert resid.degree == -6
         perm = resid.permutation()
         assert perm == (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10)
+
+
+def test_printed_factors_are_half_twists(dm2):
+    """Every factor built from an arc keeps the arc's drag as its transport,
+    so the printed lists and the three rules pass the half-twist check."""
+    for name in ("hv1", "hv4", "hv7"):
+        fz = hv_paper_factors(golden_json(f"regen/{name}.json"))
+        assert all(f.is_half_twist() for f in fz), name
+    for name, obj in conic_tables().items():
+        assert all(f.is_half_twist() for f in conic_monodromy(obj)), name
+    node = Factor(artin_gen(2, 1), 2, "node")
+    rules = [regen_rule1(Factor(artin_gen(2, 1), 1, "branch"), dm2),
+             regen_rule3(Factor(artin_gen(2, 1), 4, "tangent"), dm2)]
+    rules += [regen_rule2(node, dm2, side) for side in ("i-side", "j-side", "both")]
+    for out in rules:
+        assert out and all(f.is_half_twist() for f in out)
