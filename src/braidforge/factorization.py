@@ -90,6 +90,7 @@ class Factor:
         extend_reduced(w, self.transport.word)
 
     def braid(self) -> Braid:
+        """twist^exponent: a cached twist is reused, else t^-1, core^e and t."""
         if self._twist is not None:
             return self._twist ** self.exponent
         w: list[int] = []
