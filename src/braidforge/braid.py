@@ -281,6 +281,42 @@ def _overlap(a, b) -> int:
                 min(len(a), len(b)))
 
 
+def common_suffix(a, b) -> int:
+    """Number of trailing letters the words (or strings) a and b share.
+
+    Consecutive transports of a factorization share most of their letters,
+    so the search gallops down from the shorter length with C-level slice
+    comparisons, then bisects.
+    """
+    if a is b:
+        return len(a)
+    la, lb = len(a), len(b)
+    m = min(la, lb)
+    if not m or a[-1] != b[-1]:
+        return 0
+    # lo trailing letters are shared, hi are not
+    lo, hi, step = 1, m + 1, 1
+    while hi - step > lo:
+        mid = hi - step
+        if a[la - mid:] == b[lb - mid:]:
+            lo = mid
+            break
+        hi = mid
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[la - mid:] == b[lb - mid:]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def inverse_word(word) -> tuple:
+    """The word of the inverse: the letters reversed and negated."""
+    return tuple(map(neg, reversed(word)))
+
+
 def extend_reduced(out: list, word) -> None:
     """out <- free reduction of out + word, for freely reduced out and word."""
     if out and word and out[-1] == -word[0]:
@@ -346,7 +382,7 @@ class Braid:
         return Braid._reduced(self.n, a + b)
 
     def inverse(self) -> "Braid":
-        return Braid._reduced(self.n, tuple(map(neg, reversed(self.word))))
+        return Braid._reduced(self.n, inverse_word(self.word))
 
     def __pow__(self, e: int) -> "Braid":
         if e == 1:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .braid import Braid, block_half_twist
-from .factorization import COMPOSITE_TAG, Factor, Factorization
+from .factorization import COMPOSITE_TAG, Factor, Factorization, _Product
 
 
 class DegenGraph:
@@ -196,16 +196,18 @@ def _build_phi8(g: DegenGraph) -> Factorization:
         f = _record_factor(g, n, kind, payload, a0, k, W)
         cur.append(((kind, payload), f))
     out = []
-    prefix = [Braid(n)]  # prefix[i]: product of cur[:i], kept while valid
+    prefix = [_Product(n)]  # prefix[i]: product of cur[:i], kept while valid
     for key in _paper_order(g):
         idx = next(i for i, (kk, _) in enumerate(cur) if kk == key)
         while len(prefix) <= idx:
-            prefix.append(prefix[-1] * cur[len(prefix) - 1][1].braid())
+            p = prefix[-1].copy()
+            p.push(cur[len(prefix) - 1][1])
+            prefix.append(p)
         _, f = cur.pop(idx)
         # pulling a factor left past a prefix conjugates it by the prefix;
         # the products past idx contained it and are rebuilt when needed
         del prefix[idx + 1:]
-        out.append(f.conjugate(prefix[idx].inverse()) if idx else f)
+        out.append(f.conjugate(prefix[idx].braid().inverse()) if idx else f)
     return Factorization(n, out)
 
 

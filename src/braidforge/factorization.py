@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from operator import neg
 
-from .braid import Braid, artin_gen, extend_reduced, from_text
+from .braid import (Braid, artin_gen, common_suffix, extend_reduced,
+                    from_text, inverse_word, to_text)
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
 EXP_TAG = {r: tag for tag, r in SINGULARITY_TAGS.items()}
@@ -43,6 +44,10 @@ class Factor:
     {"core", "transport", "exp", "tag", "label"}, the last two omitted when
     empty; a factor written with "twist" in place of "core", the older
     format, still loads through the constructor.
+
+    In a monodromy factorization every transport is the braid accumulated
+    along the sweep, so consecutive factors' transports share most of their
+    letters as a common suffix (`Factorization`).
     """
 
     __slots__ = ("core", "exponent", "tag", "transport", "label", "_twist")
@@ -83,19 +88,13 @@ class Factor:
             self._twist = self.core.conjugate(self.transport)
         return self._twist
 
-    def _extend(self, w: list, sign: int = 1) -> None:
-        """w <- free reduction of w . braid()^sign, for a freely reduced w."""
-        extend_reduced(w, self.transport.inverse().word)
-        extend_reduced(w, (self.core ** (sign * self.exponent)).word)
-        extend_reduced(w, self.transport.word)
-
     def braid(self) -> Braid:
         """twist^exponent: a cached twist is reused, else t^-1, core^e and t."""
         if self._twist is not None:
             return self._twist ** self.exponent
-        w: list[int] = []
-        self._extend(w)
-        return Braid._reduced(self.n, tuple(w))
+        p = _Product(self.n)
+        p.push(self)
+        return p.braid()
 
     @property
     def degree(self) -> int:
@@ -117,24 +116,38 @@ class Factor:
                           self.transport * g, self.label)
 
     def __eq__(self, other):
+        """Equal exponents and tags, and equal twists: word-identical cores
+        and transports decide it without building either twist."""
         if not isinstance(other, Factor):
             return NotImplemented
-        return (self.exponent == other.exponent and self.tag == other.tag
-                and self.twist == other.twist)
+        if self.exponent != other.exponent or self.tag != other.tag:
+            return False
+        return ((self.core.word == other.core.word
+                 and self.transport.word == other.transport.word)
+                or self.twist == other.twist)
 
     def __repr__(self):
         return f"Factor({self.label or self.twist.to_text()}, r={self.exponent}, {self.tag})"
 
-    def to_json(self) -> dict:
+    def to_json(self, transport_text: str | None = None) -> dict:
+        """The certificate entry; `transport_text`, when given, is
+        to_text of the transport, already rendered."""
         out = {"core": self.core.to_text(), "exp": self.exponent, "tag": self.tag}
         if self.label:
             out["label"] = self.label
         if self.transport.word:
-            out["transport"] = self.transport.to_text()
+            out["transport"] = (self.transport.to_text() if transport_text is None
+                                else transport_text)
         return out
 
     @classmethod
     def from_json(cls, n: int, obj: dict) -> "Factor":
+        return cls._from_json(n, obj, None)[0]
+
+    @classmethod
+    def _from_json(cls, n: int, obj: dict, prev) -> tuple:
+        """(factor, transport state); prev is the previous factor's
+        transport state (see `_read_transport`), or None."""
         if type(obj["exp"]) is not int:
             raise ValueError(f"exponent must be an integer, got {obj['exp']!r}")
         for field in ("core", "twist", "transport", "tag", "label"):
@@ -142,17 +155,151 @@ class Factor:
                 raise ValueError(f"{field} must be a string, got {obj[field]!r}")
         if ("core" in obj) == ("twist" in obj):
             raise ValueError("a factor needs exactly one of core and twist")
-        transport = from_text(n, obj.get("transport", ""))
+        transport, state = _read_transport(n, obj.get("transport", ""), prev)
         label = obj.get("label", "")
         if "twist" in obj:
             return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
-                       transport=transport, label=label)
+                       transport=transport, label=label), state
         _check_tag(obj["exp"], obj["tag"])
         return cls._of(from_text(n, obj["core"]), obj["exp"], obj["tag"],
-                       transport, label)
+                       transport, label), state
+
+
+# ---------------------------------------------------------------------------
+# consecutive transports share long suffixes: walk only their heads
+
+
+class _Product:
+    """A left-to-right product of factors as a freely reduced word.
+
+    The last factor's transport t is kept pending: the next factor's
+    t'^-1 cancels the suffix that t and t' share without walking it, so a
+    push costs the two heads (the letters before that suffix) and the core.
+    Free reduction is unique, so `word()` is the reduced concatenation of
+    the factors' words.
+    """
+
+    __slots__ = ("n", "w", "t")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.w: list = []   # the product, with the pending transport removed
+        self.t: tuple = ()  # the pending transport
+
+    def push(self, f: Factor, sign: int = 1) -> None:
+        """Multiply by f.braid()^sign on the right."""
+        t, u = self.t, f.transport.word
+        k = common_suffix(t, u)
+        w = self.w
+        extend_reduced(w, t[:len(t) - k])
+        extend_reduced(w, inverse_word(u[:len(u) - k]))
+        extend_reduced(w, (f.core ** (sign * f.exponent)).word)
+        self.t = u
+
+    def copy(self) -> "_Product":
+        p = _Product(self.n)
+        p.w = list(self.w)
+        p.t = self.t
+        return p
+
+    def word(self) -> list:
+        w = list(self.w)
+        extend_reduced(w, self.t)
+        return w
+
+    def braid(self) -> Braid:
+        return Braid._reduced(self.n, tuple(self.word()))
+
+
+def _single_spaced(text: str) -> bool:
+    """Tokens separated by single spaces, with no other whitespace."""
+    # every whitespace character but the space is unprintable
+    return (text.isprintable() and "  " not in text
+            and text[:1] != " " and text[-1:] != " ")
+
+
+def _shared_start(prev: str, text: str):
+    """Where the whole trailing tokens that text shares with prev start in
+    text, or None when they share none; both texts single-spaced."""
+    c = common_suffix(prev, text)
+    p = len(text) - c
+    if c == len(prev):
+        if text[p - 1] == " ":
+            return p
+    elif p == 0 and prev[-c - 1] == " ":
+        return 0
+    q = text.find(" ", p)
+    return q + 1 if q >= 0 else None
+
+
+def _read_transport(n: int, text: str, prev) -> tuple:
+    """(braid, state) of a transport text, as from_text(n, text) reads it.
+
+    The state (text, braid, aligned) is handed to the next call; `aligned`
+    says that the text is single-spaced and its tokens are the braid's
+    letters one for one.  A text identical to the previous one reuses its
+    braid.  Otherwise only the head, the tokens before those shared with an
+    aligned previous text, goes through from_text: the shared letters are a
+    slice of the previous word, which was checked already.  The whole text
+    is parsed when it is not single-spaced or the head cancels into the
+    shared letters, so every input error is the one from_text raises.
+    """
+    if prev is not None:
+        ptext, pb, paligned = prev
+        if text == ptext:
+            return pb, prev
+        start = _shared_start(ptext, text) if paligned and text else None
+        # the head and the space after it, when there is a head
+        head_text = text[:start - 1] if start else ""
+        if start == 0 or start and head_text and _single_spaced(head_text):
+            head = from_text(n, head_text).word
+            pw = pb.word
+            # ptext's tokens before the shared ones, one space after each
+            i = ptext.count(" ", 0, len(ptext) - len(text) + start)
+            if not head or head[-1] != -pw[i]:
+                b = Braid._reduced(n, head + pw[i:])
+                ntok = head_text.count(" ") + 1 if head_text else 0
+                return b, (text, b, len(head) == ntok)
+    b = from_text(n, text)
+    ntok = text.count(" ") + 1 if text else 0
+    return b, (text, b, _single_spaced(text) and len(b.word) == ntok)
+
+
+def _transport_texts(factors) -> list:
+    """to_text of every factor's transport.
+
+    A transport renders its head, then the previous transport's text from
+    the suffix the two share; an identical word reuses the previous text.
+    """
+    out = []
+    pw, ptext = (), ""
+    for f in factors:
+        w = f.transport.word
+        k = common_suffix(pw, w)
+        if k == len(w) == len(pw):
+            text = ptext
+        elif not k:
+            text = to_text(w)
+        else:
+            m = len(pw) - k
+            rest = ptext[len(to_text(pw[:m])) + 1:] if m else ptext
+            text = f"{to_text(w[:len(w) - k])} {rest}" if len(w) > k else rest
+        out.append(text)
+        pw, ptext = w, text
+    return out
 
 
 class Factorization:
+    """An ordered product of factors on `strands` strands.
+
+    Consecutive transports share long suffixes (97 % of the letters of the
+    54-strand certificate), and the paths that walk the transports in order
+    touch only each transport's head, the letters before the suffix it
+    shares with the previous one: the product (`word`, `product`,
+    `Factor.braid`, through `_Product`), `loads` (`_read_transport`),
+    `dumps` (`_transport_texts`), and `regenerate`'s cabling.
+    """
+
     __slots__ = ("strands", "factors")
 
     def __init__(self, strands: int, factors=()):
@@ -193,13 +340,13 @@ class Factorization:
     def word(self) -> list:
         """The freely reduced word of the product, cancelling at the joins.
 
-        Each factor adds the pieces t^-1, core^exponent and t; no twist is
-        built.
+        Each factor adds the heads of t^-1 and of the previous t, and
+        core^exponent (`_Product`); no twist is built.
         """
-        w: list[int] = []
+        p = _Product(self.strands)
         for f in self.factors:
-            f._extend(w)
-        return w
+            p.push(f)
+        return p.word()
 
     def product(self) -> Braid:
         """Left-to-right product of the factors."""
@@ -222,7 +369,8 @@ class Factorization:
 
     def to_json(self) -> dict:
         return {"strands": self.strands,
-                "factors": [f.to_json() for f in self.factors]}
+                "factors": [f.to_json(t) for f, t in
+                            zip(self.factors, _transport_texts(self.factors))]}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=1, sort_keys=True)
@@ -232,7 +380,11 @@ class Factorization:
         n = obj["strands"]
         if type(n) is not int:
             raise ValueError(f"strand count must be an integer, got {n!r}")
-        return cls(n, [Factor.from_json(n, f) for f in obj["factors"]])
+        factors, state = [], None
+        for f in obj["factors"]:
+            factor, state = Factor._from_json(n, f, state)
+            factors.append(factor)
+        return cls(n, factors)
 
     @classmethod
     def loads(cls, text: str) -> "Factorization":

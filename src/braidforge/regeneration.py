@@ -44,10 +44,12 @@ from itertools import chain
 
 from .arcs import (ABOVE, BELOW, PunctureConfig, arc_factor, composite_twist,
                    pair_twists)
-from .braid import Braid, artin_gen, block_half_twist, delta_squared
+from .braid import (Braid, artin_gen, block_half_twist, common_suffix,
+                    delta_squared)
 from .data import golden_json
 from .degeneration import phi8
-from .factorization import COMPOSITE_TAG, EXP_TAG, Factor, Factorization
+from .factorization import (COMPOSITE_TAG, EXP_TAG, Factor, Factorization,
+                            _Product)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +80,6 @@ def cable(b: Braid) -> Braid:
     sigma_j^-1 cancel at a join only when j == k.
     """
     return Braid._reduced(2 * b.n, tuple(cable_word(b.n, b.word)))
-
-
-def cable_factor(f: Factor) -> Factor:
-    """The cabled factor: its core and its transport cabled."""
-    return Factor._of(cable(f.core), f.exponent, f.tag, cable(f.transport),
-                      f.label)
 
 
 def partial_cable(b: Braid, widths) -> tuple:
@@ -562,15 +558,25 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
     lines_of = _branch_assignment(g)
     # backward pass: cable(S)^-1 = cable(S^-1) after each composite, with
     # S^-1 the inverses of the later factors, last factor first
-    after, s = {}, []
+    after, s = {}, _Product(n)
     for i in range(len(fz), 0, -1):
         if fz[i - 1].tag == COMPOSITE_TAG:
-            after[i] = cable(Braid._reduced(n, tuple(s)))
-        fz[i - 1]._extend(s, -1)
+            after[i] = cable(s.braid())
+        s.push(fz[i - 1], -1)
     out, seen = [], {}
+    # cable(t) of each transport t: the cable of its head, then the part of
+    # the previous cable that the shared suffix maps to (4 letters a letter)
+    pw, ct = (), Braid(2 * n)
     for i, f in enumerate(fz.factors, 1):
+        w = f.transport.word
+        k = common_suffix(pw, w)
+        if k < len(w) or k < len(pw):
+            cw = ct.word
+            ct = Braid._reduced(2 * n, tuple(cable_word(n, w[:len(w) - k]))
+                                + cw[len(cw) - 4 * k:])
+        pw = w
         if f.tag != COMPOSITE_TAG:
-            out.append(cable_factor(f))
+            out.append(Factor._of(cable(f.core), f.exponent, f.tag, ct, f.label))
             continue
         m = re.match(r"~*V(\d+):", f.label)    # ~ marks a complex conjugate
         j = int(m.group(1)) if m else None
@@ -579,7 +585,6 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
                 f"second composite of vertex {j}, after {seen[j]}"
                 if j in seen else "composite without a vertex label"))
         seen[j] = _where(i, f)
-        ct = cable(f.transport)
         out.extend(Factor._of(cable(h.core), 1, "branch", ct, h.label)
                    for h in _vertex_split(f, i))
         out.extend(Factor._of(artin_gen(2 * n, 2 * t - 1), 2, "node", after[i],

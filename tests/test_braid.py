@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from braidforge.braid import (Braid, artin_gen, delta, delta_squared,
                               from_text, half_twist_word, inversions,
                               perm_of_word, perm_to_word, to_text)
-from braidforge.braid import _overlap, free_reduce, normal_form_of_word
+from braidforge.braid import (_overlap, common_suffix, free_reduce,
+                              normal_form_of_word)
 from braidforge.factorization import SINGULARITY_TAGS, Factor, Factorization
 from braidforge.regeneration import cable, cable_word
 
@@ -285,6 +286,36 @@ def test_overlap_matches_the_naive_loop(u, v):
     c = tuple(free_reduce(_inv(a[len(a) // 2:]) + list(b)))
     for x, y in ((a, b), (a, c), (c, a), (a, a), (u, v)):
         assert _overlap(x, y) == _ref_overlap(x, y)
+
+
+def _ref_common_suffix(a, b) -> int:
+    i, m = 0, min(len(a), len(b))
+    while i < m and a[-1 - i] == b[-1 - i]:
+        i += 1
+    return i
+
+
+@given(words54, words54, words54)
+def test_common_suffix_matches_the_naive_loop(u, v, s):
+    a, b = tuple(u + s), tuple(v + s)
+    for x, y in ((a, b), (b, a), (a, a), (a, tuple(a)), (a, tuple(s)),
+                 (tuple(s), a), (a, ()), ((), a), (tuple(u), tuple(v))):
+        assert common_suffix(x, y) == _ref_common_suffix(x, y)
+    text, other = to_text(a), to_text(b)
+    assert common_suffix(text, other) == _ref_common_suffix(text, other)
+
+
+def test_common_suffix_edge_cases():
+    a = (1, -2, 3, 5)
+    assert common_suffix(a, a) == 4                     # the same object
+    assert common_suffix(a, tuple(list(a))) == 4        # equal, distinct
+    assert common_suffix(a, (7,) + a) == 4              # a suffix of the other
+    assert common_suffix((7,) + a, a[1:]) == 3
+    assert common_suffix(a, (1, -2, 3, 4)) == 0         # different last letters
+    assert common_suffix(a, (2, -2, 3, 5)) == 3
+    for x, y in (((), ()), ((), a), (a, ())):           # the empty word
+        assert common_suffix(x, y) == 0
+    assert common_suffix("s2 s1", "S2 s2 s1") == 5
 
 
 def test_overlap_edge_cases():

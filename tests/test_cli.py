@@ -192,6 +192,12 @@ def test_module_entry_point(tmp_path):
     {"strands": 3, "factors": [{"exp": 1, "tag": "branch", "transport": "s2"}]},
     {"strands": 3, "factors": [{"core": "s1 x2", "exp": 1, "tag": "branch"}]},
     {"strands": 3, "factors": [{"core": "s1", "exp": 2, "tag": "branch"}]},
+    {"strands": 3, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "transport": "s2 s1"},
+        {"core": "s1", "exp": 1, "tag": "branch", "transport": "x2 s1"}]},
+    {"strands": 3, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "transport": "s2 s1"},
+        {"core": "s1", "exp": 1, "tag": "branch", "transport": "s3 s1"}]},
 ])
 @pytest.mark.parametrize("command", [["verify"], ["relations"],
                                      ["regen", "run", "--in"]])

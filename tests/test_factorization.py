@@ -1,13 +1,15 @@
 """Factors, factorizations, Hurwitz moves, and complex conjugation."""
 
 import json
+import random
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidforge.braid import Braid, artin_gen, delta_squared, free_reduce
+from braidforge.braid import (Braid, artin_gen, delta_squared, free_reduce,
+                              from_text, to_text)
 from braidforge.factorization import (Factor, Factorization,
                                       conj_factorization, frame_factorization,
                                       hurwitz_move)
@@ -226,3 +228,137 @@ def test_pipeline_builds_no_twist(phi8_fz, graph):
     assert check_full_twist(fz).passed
     fz.dumps()
     assert all(f._twist is None for f in src.factors + fz.factors)
+
+
+def test_loads_of_one_certificate_compare_equal_without_twists(regen_fz):
+    text = regen_fz.dumps()
+    a, b = Factorization.loads(text), Factorization.loads(text)
+    assert a == b
+    assert all(f._twist is None for f in a.factors + b.factors)
+
+
+def test_equal_twists_with_other_transports_compare_equal(rng):
+    for k in (1, 2, 3):
+        t = random_braid(rng, 4, 8)
+        f = Factor._of(artin_gen(4, k), 2, "node", t)
+        g = Factor._of(artin_gen(4, k), 2, "node", artin_gen(4, k) * t)
+        assert f.transport.word != g.transport.word
+        assert f == g and f.twist == g.twist
+
+
+def test_a_conjugate_that_moves_the_twist_compares_unequal(phi8_fz):
+    # factor 28's twist does not commute with s1
+    f = phi8_fz.factors[28]
+    moved = f.conjugate(artin_gen(27, 1))
+    assert f.core.word == moved.core.word
+    assert moved != f and f != moved
+    assert f == Factorization.loads(phi8_fz.dumps()).factors[28]
+
+
+def _payload(n, transports):
+    return json.dumps({"strands": n, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "transport": t}
+        for t in transports]})
+
+
+@pytest.mark.parametrize("transports", [
+    ["s2 s1", "s2 s1", "s2 s1"],                        # identical texts
+    ["s2 s1", "s1  s2 s1", "s2\ts1", " s3 s2 s1 ", "s3 s2 s1\n"],
+    ["s1 s2", " s1 s2", "s3 s1 s2", " s2", "s3 s2"],    # a leading space
+    ["s2 s1", "S2 s2 s1", "s3 s2 s1"],                  # head cancels
+    ["s3 s2 s1", "s2 s2 s1", "s1 s3 s2 s1", "s2 s1"],   # one-token head
+    ["s1 s2", "s2 s1", "S3 S1", "s2 s3 S1", "s12 s3"],  # no shared token
+    ["s2 s1", "s1 S1 s3 s2 s1", "s1 s3 s2 s1", "s3 s2 s1"],
+    ["s12 s3", "s2 s12 s3", "s12 s3", "S12 s3", "s12 s12 s3"],
+])
+def test_loads_reads_each_transport_as_from_text(transports):
+    n = 13
+    fz = Factorization.loads(_payload(n, transports))
+    for f, text in zip(fz, transports):
+        assert f.transport.word == from_text(n, text).word
+
+
+@pytest.mark.parametrize("n, transports", [
+    (3, ["s2 s1", "x2 s1"]),
+    (3, ["s2 s1", "s3 s1"]),
+    (3, ["s2 s1", "s2 s1 s0"]),
+    (4, ["s2 s1", "s1 s2\ts9 s1"]),
+])
+def test_loads_raises_what_from_text_raises(n, transports):
+    with pytest.raises(ValueError) as want:
+        from_text(n, transports[-1])
+    with pytest.raises(ValueError) as got:
+        Factorization.loads(_payload(n, transports))
+    assert str(got.value) == str(want.value)
+
+
+def _moved_phi8(fz, seed, moves=10):
+    rng = random.Random(seed)
+    for _ in range(moves):
+        fz = hurwitz_move(fz, rng.randint(1, len(fz) - 1),
+                          rng.choice(["left", "right"]))
+    return fz
+
+
+def _reduced_concatenation(fz):
+    return free_reduce(chain.from_iterable(f.braid().word for f in fz))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_word_of_a_regenerated_moved_phi8(graph, phi8_fz, seed):
+    """word() walks transport heads only; the word is the reduced
+    concatenation of the factors' words all the same."""
+    fz = regenerate(graph, _moved_phi8(phi8_fz, seed))
+    assert fz.word() == _reduced_concatenation(fz)
+
+
+@pytest.mark.parametrize("name", ["phi8_fz", "regen_fz"])
+def test_word_of_a_loaded_certificate(request, name):
+    fz = Factorization.loads(request.getfixturevalue(name).dumps())
+    assert fz.word() == _reduced_concatenation(fz)
+
+
+def _dumps_per_factor(fz):
+    factors = []
+    for f in fz:
+        obj = {"core": to_text(f.core.word), "exp": f.exponent, "tag": f.tag}
+        if f.label:
+            obj["label"] = f.label
+        if f.transport.word:
+            obj["transport"] = to_text(f.transport.word)
+        factors.append(obj)
+    return json.dumps({"strands": fz.strands, "factors": factors},
+                      indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("case", ["phi8", "phi0", "conj", "moved"])
+def test_dumps_matches_the_per_factor_rendering(phi8_fz, regen_fz, case):
+    fz = {"phi8": phi8_fz, "phi0": regen_fz,
+          "conj": conj_factorization(phi8_fz),
+          "moved": _moved_phi8(phi8_fz, 5)}[case]
+    assert fz.dumps() == _dumps_per_factor(fz)
+
+
+_tokens = st.sampled_from(["s1", "S1", "s2", "S2", "s3", "S3", "s12", "S12"])
+_seps = st.sampled_from([" "] * 6 + ["  ", "\t", "\n"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(_tokens, max_size=4),
+                          st.integers(min_value=0, max_value=6),
+                          st.lists(_seps, min_size=6, max_size=6),
+                          st.sampled_from(["", "", " ", "\t"])),
+                min_size=1, max_size=8))
+def test_loads_reads_transports_sharing_suffixes_as_from_text(steps):
+    """Transports built from a head and part of the previous one's tokens,
+    some with other whitespace, read as from_text reads them."""
+    texts, prev = [], []
+    for head, keep, seps, edge in steps:
+        tokens = head + prev[len(prev) - min(keep, len(prev)):]
+        text = "".join(t + s for t, s in zip(tokens, seps + [" "] * 20))
+        texts.append(edge + text.rstrip(" ") + edge[:1])
+        prev = tokens
+    fz = Factorization.loads(_payload(13, texts))
+    for f, text in zip(fz, texts):
+        assert f.transport.word == from_text(13, text).word

@@ -396,6 +396,24 @@ def test_regenerate_any_certificate_of_phi8(graph, phi8_fz, seed):
             == [cable(f.twist) for f in h if f.tag != "composite"])
 
 
+@pytest.mark.parametrize("seed", [None, 2, "conj"])
+def test_regenerated_transports_are_cables(graph, phi8_fz, seed):
+    """Each transport is cabled from its head and the previous cable, and
+    is the cable of its source factor's transport all the same."""
+    h = (phi8_fz if seed is None else conj_factorization(phi8_fz)
+         if seed == "conj" else _moved(phi8_fz, seed))
+    fz = regenerate(graph, h)
+    parasitic = [f for f in fz if f.label.startswith(("D", "~D"))]
+    assert ([f.transport.word for f in parasitic]
+            == [cable(f.transport).word for f in h if f.tag != "composite"])
+    src = {f.label: f for f in h if f.tag == "composite"}
+    frames = [f for f in fz if "|H" in f.label]
+    assert len(frames) == 270
+    for f in frames:
+        composite = src[f.label.split("|")[0]]
+        assert f.transport.word == cable(composite.transport).word
+
+
 def test_pair_twists_follow_the_transport_rule(graph, phi8_fz):
     """After the composite of vertex j, each pair twist of a line t assigned
     to j is cable(S) . sigma_{2t-1} . cable(S)^-1, squared, with S the
