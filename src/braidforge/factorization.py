@@ -10,6 +10,7 @@ factors, multiplied left to right.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from operator import neg
 
 from .braid import (Braid, artin_gen, common_suffix, extend_reduced,
@@ -141,13 +142,9 @@ class Factor:
         return out
 
     @classmethod
-    def from_json(cls, n: int, obj: dict) -> "Factor":
-        return cls._from_json(n, obj, None)[0]
-
-    @classmethod
-    def _from_json(cls, n: int, obj: dict, prev) -> tuple:
-        """(factor, transport state); prev is the previous factor's
-        transport state (see `_read_transport`), or None."""
+    def from_json(cls, n: int, obj: dict, read=from_text) -> "Factor":
+        """The factor of a certificate entry; `read(n, text)` parses the
+        transport (`Factorization.from_json` passes a cached from_text)."""
         if type(obj["exp"]) is not int:
             raise ValueError(f"exponent must be an integer, got {obj['exp']!r}")
         for field in ("core", "twist", "transport", "tag", "label"):
@@ -155,14 +152,14 @@ class Factor:
                 raise ValueError(f"{field} must be a string, got {obj[field]!r}")
         if ("core" in obj) == ("twist" in obj):
             raise ValueError("a factor needs exactly one of core and twist")
-        transport, state = _read_transport(n, obj.get("transport", ""), prev)
+        transport = read(n, obj.get("transport", ""))
         label = obj.get("label", "")
         if "twist" in obj:
             return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
-                       transport=transport, label=label), state
+                       transport=transport, label=label)
         _check_tag(obj["exp"], obj["tag"])
         return cls._of(from_text(n, obj["core"]), obj["exp"], obj["tag"],
-                       transport, label), state
+                       transport, label)
 
 
 # ---------------------------------------------------------------------------
@@ -211,58 +208,16 @@ class _Product:
         return Braid._reduced(self.n, tuple(self.word()))
 
 
-def _single_spaced(text: str) -> bool:
-    """Tokens separated by single spaces, with no other whitespace."""
-    # every whitespace character but the space is unprintable
-    return (text.isprintable() and "  " not in text
-            and text[:1] != " " and text[-1:] != " ")
-
-
-def _shared_start(prev: str, text: str):
-    """Where the whole trailing tokens that text shares with prev start in
-    text, or None when they share none; both texts single-spaced."""
-    c = common_suffix(prev, text)
-    p = len(text) - c
-    if c == len(prev):
-        if text[p - 1] == " ":
-            return p
-    elif p == 0 and prev[-c - 1] == " ":
-        return 0
-    q = text.find(" ", p)
-    return q + 1 if q >= 0 else None
-
-
-def _read_transport(n: int, text: str, prev) -> tuple:
-    """(braid, state) of a transport text, as from_text(n, text) reads it.
-
-    The state (text, braid, aligned) is handed to the next call; `aligned`
-    says that the text is single-spaced and its tokens are the braid's
-    letters one for one.  A text identical to the previous one reuses its
-    braid.  Otherwise only the head, the tokens before those shared with an
-    aligned previous text, goes through from_text: the shared letters are a
-    slice of the previous word, which was checked already.  The whole text
-    is parsed when it is not single-spaced or the head cancels into the
-    shared letters, so every input error is the one from_text raises.
-    """
-    if prev is not None:
-        ptext, pb, paligned = prev
-        if text == ptext:
-            return pb, prev
-        start = _shared_start(ptext, text) if paligned and text else None
-        # the head and the space after it, when there is a head
-        head_text = text[:start - 1] if start else ""
-        if start == 0 or start and head_text and _single_spaced(head_text):
-            head = from_text(n, head_text).word
-            pw = pb.word
-            # ptext's tokens before the shared ones, one space after each
-            i = ptext.count(" ", 0, len(ptext) - len(text) + start)
-            if not head or head[-1] != -pw[i]:
-                b = Braid._reduced(n, head + pw[i:])
-                ntok = head_text.count(" ") + 1 if head_text else 0
-                return b, (text, b, len(head) == ntok)
-    b = from_text(n, text)
-    ntok = text.count(" ") + 1 if text else 0
-    return b, (text, b, _single_spaced(text) and len(b.word) == ntok)
+def transport_heads(factors):
+    """(factor, p, k) for each factor in order: p is the previous factor's
+    transport word (() for the first) and k the number of trailing letters
+    it shares with this factor's transport, whose head is the letters
+    before them."""
+    pw = ()
+    for f in factors:
+        w = f.transport.word
+        yield f, pw, common_suffix(pw, w)
+        pw = w
 
 
 def _transport_texts(factors) -> list:
@@ -271,11 +226,9 @@ def _transport_texts(factors) -> list:
     A transport renders its head, then the previous transport's text from
     the suffix the two share; an identical word reuses the previous text.
     """
-    out = []
-    pw, ptext = (), ""
-    for f in factors:
+    out, ptext = [], ""
+    for f, pw, k in transport_heads(factors):
         w = f.transport.word
-        k = common_suffix(pw, w)
         if k == len(w) == len(pw):
             text = ptext
         elif not k:
@@ -285,7 +238,7 @@ def _transport_texts(factors) -> list:
             rest = ptext[len(to_text(pw[:m])) + 1:] if m else ptext
             text = f"{to_text(w[:len(w) - k])} {rest}" if len(w) > k else rest
         out.append(text)
-        pw, ptext = w, text
+        ptext = text
     return out
 
 
@@ -296,8 +249,10 @@ class Factorization:
     54-strand certificate), and the paths that walk the transports in order
     touch only each transport's head, the letters before the suffix it
     shares with the previous one: the product (`word`, `product`,
-    `Factor.braid`, through `_Product`), `loads` (`_read_transport`),
-    `dumps` (`_transport_texts`), and `regenerate`'s cabling.
+    `Factor.braid`, through `_Product`), `dumps` (`_transport_texts`) and
+    `regenerate`'s cabling, the last two through `transport_heads`.  `loads`
+    parses every transport with from_text, reusing the braid of a text
+    identical to the previous one.
     """
 
     __slots__ = ("strands", "factors")
@@ -380,11 +335,9 @@ class Factorization:
         n = obj["strands"]
         if type(n) is not int:
             raise ValueError(f"strand count must be an integer, got {n!r}")
-        factors, state = [], None
-        for f in obj["factors"]:
-            factor, state = Factor._from_json(n, f, state)
-            factors.append(factor)
-        return cls(n, factors)
+        # the factors regenerated from one vertex share its transport text
+        read = lru_cache(maxsize=1)(from_text)
+        return cls(n, [Factor.from_json(n, f, read) for f in obj["factors"]])
 
     @classmethod
     def loads(cls, text: str) -> "Factorization":

@@ -44,12 +44,11 @@ from itertools import chain
 
 from .arcs import (ABOVE, BELOW, PunctureConfig, arc_factor, composite_twist,
                    pair_twists)
-from .braid import (Braid, artin_gen, block_half_twist, common_suffix,
-                    delta_squared)
+from .braid import Braid, artin_gen, block_half_twist, delta_squared
 from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, EXP_TAG, Factor, Factorization,
-                            _Product)
+                            _Product, transport_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +565,13 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
     out, seen = [], {}
     # cable(t) of each transport t: the cable of its head, then the part of
     # the previous cable that the shared suffix maps to (4 letters a letter)
-    pw, ct = (), Braid(2 * n)
-    for i, f in enumerate(fz.factors, 1):
+    ct = Braid(2 * n)
+    for i, (f, pw, k) in enumerate(transport_heads(fz.factors), 1):
         w = f.transport.word
-        k = common_suffix(pw, w)
         if k < len(w) or k < len(pw):
             cw = ct.word
             ct = Braid._reduced(2 * n, tuple(cable_word(n, w[:len(w) - k]))
                                 + cw[len(cw) - 4 * k:])
-        pw = w
         if f.tag != COMPOSITE_TAG:
             out.append(Factor._of(cable(f.core), f.exponent, f.tag, ct, f.label))
             continue

@@ -270,6 +270,7 @@ def _payload(n, transports):
     ["s1 s2", "s2 s1", "S3 S1", "s2 s3 S1", "s12 s3"],  # no shared token
     ["s2 s1", "s1 S1 s3 s2 s1", "s1 s3 s2 s1", "s3 s2 s1"],
     ["s12 s3", "s2 s12 s3", "s12 s3", "S12 s3", "s12 s12 s3"],
+    ["", "s2 ", "s1 s2 ", "", "s3 s2 s1 "],             # after an empty one
 ])
 def test_loads_reads_each_transport_as_from_text(transports):
     n = 13
@@ -342,22 +343,23 @@ def test_dumps_matches_the_per_factor_rendering(phi8_fz, regen_fz, case):
 
 _tokens = st.sampled_from(["s1", "S1", "s2", "S2", "s3", "S3", "s12", "S12"])
 _seps = st.sampled_from([" "] * 6 + ["  ", "\t", "\n"])
+_edges = st.sampled_from(["", "", " ", "\t"])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.lists(_tokens, max_size=4),
-                          st.integers(min_value=0, max_value=6),
+@given(st.lists(st.tuples(st.just([]) | st.lists(_tokens, max_size=4),
+                          st.sampled_from([0, 0, 1, 2, 3, 6]),
                           st.lists(_seps, min_size=6, max_size=6),
-                          st.sampled_from(["", "", " ", "\t"])),
+                          _edges, _edges),
                 min_size=1, max_size=8))
 def test_loads_reads_transports_sharing_suffixes_as_from_text(steps):
     """Transports built from a head and part of the previous one's tokens,
-    some with other whitespace, read as from_text reads them."""
+    some empty or with other whitespace, read as from_text reads them."""
     texts, prev = [], []
-    for head, keep, seps, edge in steps:
+    for head, keep, seps, lead, trail in steps:
         tokens = head + prev[len(prev) - min(keep, len(prev)):]
         text = "".join(t + s for t, s in zip(tokens, seps + [" "] * 20))
-        texts.append(edge + text.rstrip(" ") + edge[:1])
+        texts.append(lead + text.rstrip(" ") + trail)
         prev = tokens
     fz = Factorization.loads(_payload(13, texts))
     for f, text in zip(fz, texts):
