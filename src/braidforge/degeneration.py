@@ -211,23 +211,18 @@ def _build_phi8(g: DegenGraph) -> Factorization:
     return Factorization(n, out)
 
 
-_PHI8_CACHE: dict = {}
-
-
-def _phi8_cached(g: DegenGraph) -> Factorization:
-    key = g.lines
-    if key not in _PHI8_CACHE:
-        _PHI8_CACHE[key] = _build_phi8(g)
-    return _PHI8_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # public factorization views
 
 
+_PHI8_CACHE: dict = {}
+
+
 def phi8(g: DegenGraph) -> Factorization:
     """The degenerated factorization: product over vertices of C~_j . D~^2_j."""
-    return _phi8_cached(g)
+    if g.lines not in _PHI8_CACHE:
+        _PHI8_CACHE[g.lines] = _build_phi8(g)
+    return _PHI8_CACHE[g.lines]
 
 
 def parasitic_Dt(g: DegenGraph, t: int) -> Factorization:
@@ -236,7 +231,7 @@ def parasitic_Dt(g: DegenGraph, t: int) -> Factorization:
         raise ValueError(f"line index {t} out of range")
     pre = f"D{t}:"
     return Factorization(g.n_lines,
-                         [f for f in _phi8_cached(g) if f.label.startswith(pre)])
+                         [f for f in phi8(g) if f.label.startswith(pre)])
 
 
 def tilde_Cj(g: DegenGraph, j: int) -> Factorization:
@@ -248,14 +243,14 @@ def tilde_Cj(g: DegenGraph, j: int) -> Factorization:
     pre = tuple(f"D{t}:" for t in range(1, g.n_lines + 1)
                 if g.small_vertex(t) == j)
     return Factorization(g.n_lines,
-                         [f for f in _phi8_cached(g) if f.label.startswith(pre)])
+                         [f for f in phi8(g) if f.label.startswith(pre)])
 
 
 def tilde_Delta2(g: DegenGraph, j: int) -> Factorization:
     """Full twist on the six punctures of the lines through vertex j."""
     pre = f"V{j}:"
     return Factorization(g.n_lines,
-                         [f for f in _phi8_cached(g) if f.label.startswith(pre)])
+                         [f for f in phi8(g) if f.label.startswith(pre)])
 
 
 # ---------------------------------------------------------------------------

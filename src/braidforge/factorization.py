@@ -13,8 +13,8 @@ import json
 from functools import lru_cache
 from operator import neg
 
-from .braid import (Braid, artin_gen, common_suffix, extend_reduced,
-                    from_text, inverse_word, to_text)
+from .braid import (Braid, artin_gen, block_half_twist, common_suffix,
+                    extend_reduced, from_text, inverse_word, to_text)
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
 EXP_TAG = {r: tag for tag, r in SINGULARITY_TAGS.items()}
@@ -162,6 +162,27 @@ class Factor:
                        transport, label)
 
 
+def _where(i: int, f: Factor) -> str:
+    """Names the i-th (1-based) factor of a certificate in a message."""
+    return f"factor {i} {f.label or f!r}"
+
+
+def _vertex_split(f: Factor, i: int) -> list:
+    """The i-th factor, a vertex full twist, as 30 frame letters sharing its
+    transport."""
+    core = f.core
+    inf, perms = core.normal_form()
+    support = sorted({s for p in perms for s in range(f.n) if p[s] != s})
+    a0 = support[0] + 1 if support else 0   # the block's first strand
+    if (inf != 0 or support != list(range(a0 - 1, a0 + 5))
+            or core != block_half_twist(f.n, a0, a0 + 5) ** 2):
+        raise ValueError(f"{_where(i, f)}: vertex factor core is not a "
+                         "six-strand block twist")
+    return [Factor._of(artin_gen(f.n, k), 1, "branch", f.transport,
+                       f"{f.label}|H{k - a0 + 1}")
+            for _round in range(6) for k in range(a0, a0 + 5)]
+
+
 # ---------------------------------------------------------------------------
 # consecutive transports share long suffixes: walk only their heads
 
@@ -183,14 +204,14 @@ class _Product:
         self.w: list = []   # the product, with the pending transport removed
         self.t: tuple = ()  # the pending transport
 
-    def push(self, f: Factor, sign: int = 1) -> None:
-        """Multiply by f.braid()^sign on the right."""
+    def push(self, f: Factor) -> None:
+        """Multiply by f.braid() on the right."""
         t, u = self.t, f.transport.word
         k = common_suffix(t, u)
         w = self.w
         extend_reduced(w, t[:len(t) - k])
         extend_reduced(w, inverse_word(u[:len(u) - k]))
-        extend_reduced(w, (f.core ** (sign * f.exponent)).word)
+        extend_reduced(w, (f.core ** f.exponent).word)
         self.t = u
 
     def copy(self) -> "_Product":
@@ -351,7 +372,7 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     left:  (..., a, b, ...) -> (..., a b a^-1, a, ...)
     Both preserve the product.
     """
-    if not (1 <= i < len(f) + 1) or i >= len(f):
+    if not 1 <= i < len(f):
         raise ValueError(f"move position {i} out of range for {len(f)} factors")
     fs = f.factors
     a, b = fs[i - 1], fs[i]

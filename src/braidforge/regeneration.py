@@ -48,7 +48,7 @@ from .braid import Braid, artin_gen, block_half_twist, delta_squared
 from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, EXP_TAG, Factor, Factorization,
-                            _Product, transport_heads)
+                            _vertex_split, _where, transport_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -519,50 +519,27 @@ def _branch_assignment(g) -> dict:
     return lines_of
 
 
-def _where(i: int, f: Factor) -> str:
-    """Names the i-th (1-based) factor of a certificate in a message."""
-    return f"factor {i} {f.label or f!r}"
-
-
-def _vertex_split(f: Factor, i: int) -> list:
-    """The i-th factor, a vertex full twist, as 30 frame letters sharing its
-    transport."""
-    core = f.core
-    inf, perms = core.normal_form()
-    support = sorted({s for p in perms for s in range(f.n) if p[s] != s})
-    if (inf != 0 or len(support) != 6
-            or support != list(range(support[0], support[0] + 6))
-            or core != _block_delta2(f.n, support[0] + 1, 6)):
-        raise ValueError(f"{_where(i, f)}: vertex factor core is not a "
-                         "six-strand block twist")
-    a0 = support[0] + 1
-    return [Factor._of(artin_gen(f.n, k), 1, "branch", f.transport,
-                       f"{f.label}|H{k - a0 + 1}")
-            for _round in range(6) for k in range(a0, a0 + 5)]
+# a label D<t>: (parasitic, line t) or V<j>: (vertex j), after one ~ per
+# complex conjugation (`conj_factorization`)
+_LABEL = re.compile(r"~*([DV])(\d+):")
 
 
 def regenerate(g, fz: Factorization | None = None) -> Factorization:
     """The doubled factorization on 54 strands of fz (default `phi8(g)`).
 
-    One pass over fz: a parasitic factor is cabled (a ribbon full twist,
-    degree 8); the composite labelled V{j}: becomes thirty cabled frame
-    letters (degree 4 each) and the pair twists Z^2_{tt'} of the three lines
-    assigned to vertex j.  Transport rule: with S the product of the factors
-    of fz after the composite, a pair twist is cable(S) sigma_{2t-1}^2
-    cable(S)^-1.  A ValueError names a composite without a vertex label, a
-    vertex's second composite, and the vertices without one.
+    One forward pass over fz cables each parasitic factor (a ribbon full
+    twist, degree 8) and splits the composite labelled V{j}: into thirty
+    cabled frame letters (degree 4 each), giving the cable of fz's product.
+    The pair twists Z^2_{tt'} = sigma_{2t-1}^2 of the three lines assigned
+    to each vertex close the certificate, in the order the composites were
+    met, as cable(Delta^2_n) . prod Z^2_{tt'} = Delta^2_2n (`conic_identity`
+    checks it locally).  A ValueError names a composite without a vertex
+    label, a vertex's second composite, and the vertices without one.
     """
     n = g.n_lines
     fz = phi8(g) if fz is None else fz
     lines_of = _branch_assignment(g)
-    # backward pass: cable(S)^-1 = cable(S^-1) after each composite, with
-    # S^-1 the inverses of the later factors, last factor first
-    after, s = {}, _Product(n)
-    for i in range(len(fz), 0, -1):
-        if fz[i - 1].tag == COMPOSITE_TAG:
-            after[i] = cable(s.braid())
-        s.push(fz[i - 1], -1)
-    out, seen = [], {}
+    out, pairs, seen = [], [], {}
     # cable(t) of each transport t: the cable of its head, then the part of
     # the previous cable that the shared suffix maps to (4 letters a letter)
     ct = Braid(2 * n)
@@ -575,8 +552,8 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
         if f.tag != COMPOSITE_TAG:
             out.append(Factor._of(cable(f.core), f.exponent, f.tag, ct, f.label))
             continue
-        m = re.match(r"~*V(\d+):", f.label)    # ~ marks a complex conjugate
-        j = int(m.group(1)) if m else None
+        m = _LABEL.match(f.label)
+        j = int(m[2]) if m and m[1] == "V" else None
         if j not in lines_of or j in seen:
             raise ValueError(f"{_where(i, f)}: " + (
                 f"second composite of vertex {j}, after {seen[j]}"
@@ -584,26 +561,27 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
         seen[j] = _where(i, f)
         out.extend(Factor._of(cable(h.core), 1, "branch", ct, h.label)
                    for h in _vertex_split(f, i))
-        out.extend(Factor._of(artin_gen(2 * n, 2 * t - 1), 2, "node", after[i],
-                              f"V{j}:Z2[{t},{t}']")
-                   for t in lines_of[j])
+        pairs.extend(Factor._of(artin_gen(2 * n, 2 * t - 1), 2, "node",
+                                Braid(2 * n), f"V{j}:Z2[{t},{t}']")
+                     for t in lines_of[j])
     missing = [j for j in g.vertices if j not in seen]
     if missing:
         raise ValueError(f"no composite factor for vertices {missing}")
-    return Factorization(2 * n, out)
+    return Factorization(2 * n, out + pairs)
 
 
 def regen_audit(fz: Factorization) -> dict:
-    """Degree bookkeeping by label: D... parasitic, V<j>... vertex j."""
+    """Degree bookkeeping by label (`_LABEL`): parasitic, and by vertex."""
     total = parasitic = 0
     per_vertex = {}
     for f in fz.factors:
         d = f.degree
         total += d
-        if f.label.startswith("D"):
+        m = _LABEL.match(f.label)
+        if m and m[1] == "D":
             parasitic += d
-        elif f.label.startswith("V"):
-            v = int(f.label[1:].split(":")[0].split("|")[0])
+        elif m:
+            v = int(m[2])
             per_vertex[v] = per_vertex.get(v, 0) + d
     return {"total": total, "parasitic": parasitic, "per_vertex": per_vertex}
 

@@ -8,7 +8,8 @@ import time
 from collections import deque
 
 from .braid import Braid, delta_squared, to_text
-from .factorization import COMPOSITE_TAG, Factor, Factorization
+from .factorization import (COMPOSITE_TAG, Factor, Factorization, _vertex_split,
+                            _where)
 
 
 class VerificationReport:
@@ -165,7 +166,6 @@ def emit_relations(f: Factorization) -> list:
     r=3: they satisfy the braid relation.  Generators are written as
     conjugates of the puncture generators G1..Gn by the factor's arc word.
     """
-    from .regeneration import _vertex_split, _where
     out = []
     for i, factor in enumerate(f.factors, 1):
         for fac in (_vertex_split(factor, i) if factor.tag == COMPOSITE_TAG

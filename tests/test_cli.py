@@ -11,7 +11,7 @@ from braidforge.cli import main
 from braidforge.degeneration import build_tt, phi8
 from braidforge.factorization import Factor
 from braidforge.factorization import Factorization, frame_factorization
-from braidforge.factorization import hurwitz_move
+from braidforge.factorization import conj_factorization, hurwitz_move
 
 
 def test_usage_error_exits_2():
@@ -152,6 +152,17 @@ def test_regen_audit(tmp_path, capsys):
     assert "2862" in text
     fz = Factorization.loads(out.read_text())
     assert fz.strands == 54 and fz.degree == 2862
+
+
+def test_regen_audit_reads_complex_conjugated_labels(tmp_path, capsys):
+    """The complex conjugate labels its factors ~D<t>: and ~V<j>:; the
+    audit reads them as the regeneration does."""
+    path = tmp_path / "conj.json"
+    path.write_text(conj_factorization(phi8(build_tt())).dumps())
+    assert main(["regen", "run", "--in", str(path), "--audit",
+                 "--identity"]) == 0
+    assert ("totals: 2862 (parasitic 1728, per-vertex [126, 126, 126, 126, "
+            "126, 126, 126, 126, 126])\n") in capsys.readouterr().out
 
 
 def test_goldens_replay():

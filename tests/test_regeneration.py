@@ -22,7 +22,7 @@ from braidforge.regeneration import (DoublingMap, _block_delta2, _pair_rho,
                                      regen_audit, regen_rule1, regen_rule2,
                                      regen_rule3)
 from braidforge.regeneration import _branch_assignment, conic_monodromy, regenerate
-from braidforge.verify import hurwitz_equivalent
+from braidforge.verify import check_full_twist, hurwitz_equivalent
 from conftest import random_braid
 
 
@@ -415,12 +415,15 @@ def test_regenerated_transports_are_cables(graph, phi8_fz, seed):
 
 
 def test_pair_twists_follow_the_transport_rule(graph, phi8_fz):
-    """After the composite of vertex j, each pair twist of a line t assigned
-    to j is cable(S) . sigma_{2t-1} . cable(S)^-1, squared, with S the
-    product of the factors after the composite.  S is a pure braid, so the
-    value is sigma_{2t-1} either way; the transport records the rule."""
+    """The pair twist of a line t assigned to vertex j is sigma_{2t-1}^2
+    with an empty transport, and the 27 pair twists close the certificate.
+    Its value is cable(S) . sigma_{2t-1} . cable(S)^-1, squared, with S the
+    product of the factors after the composite: S is a pure braid, so
+    cable(S) commutes with sigma_{2t-1}."""
     h = _moved(phi8_fz, 1)
-    twists = {f.label: f for f in regenerate(graph, h)}
+    fz = regenerate(graph, h)
+    twists = {f.label: f for f in fz}
+    pairs = []
     for i, f in enumerate(h):
         if f.tag != "composite":
             continue
@@ -430,7 +433,91 @@ def test_pair_twists_follow_the_transport_rule(graph, phi8_fz):
             pair = twists[f"V{j}:Z2[{t},{t}']"]
             assert pair.exponent == 2
             assert pair.twist == cs * artin_gen(54, 2 * t - 1) * cs.inverse()
-            assert pair.transport == cs.inverse()
+            assert pair.transport.word == ()
+            assert pair.core.word == (2 * t - 1,)
+            pairs.append(pair)
+    assert len(pairs) == 27
+    assert all(a is b for a, b in zip(fz.factors[-27:], pairs))
+
+
+def _transported_regeneration(graph, h):
+    """Each factor of h cabled in full, each composite followed by its pair
+    twists transported by cable(S)^-1, S the product of the later factors."""
+    out = []
+    for i, f in enumerate(h, 1):
+        ct = cable(f.transport)
+        if f.tag != "composite":
+            out.append(Factor._of(cable(f.core), f.exponent, f.tag, ct,
+                                  f.label))
+            continue
+        out.extend(Factor._of(cable(artin_gen(27, k)), 1, "branch", ct,
+                              f"{f.label}|H{k - a + 1}")
+                   for a in [min(map(abs, f.core.word))]
+                   for _round in range(6) for k in range(a, a + 5))
+        j = int(re.match(r"~*V(\d+):", f.label)[1])
+        cs = cable(Factorization(27, h.factors[i:]).product())
+        out.extend(Factor._of(artin_gen(54, 2 * t - 1), 2, "node",
+                              cs.inverse(), f"V{j}:Z2[{t},{t}']")
+                   for t in _branch_assignment(graph)[j])
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, "conj"])
+def test_pair_twists_move_to_the_end(graph, phi8_fz, seed):
+    """Without its last 27 factors, the regeneration is factor by factor
+    word-identical to the one that transports each pair twist through the
+    cable of the factors after its composite, without its pair twists; each
+    pair twist equals that one's of the same label."""
+    h = (phi8_fz if seed is None else conj_factorization(phi8_fz)
+         if seed == "conj" else _moved(phi8_fz, seed))
+    fz = regenerate(graph, h)
+    ref = _transported_regeneration(graph, h)
+    pairs = {f.label: f for f in ref if re.match(r"V\d+:Z2", f.label)}
+
+    def words(fs):
+        return [(f.core.word, f.transport.word, f.exponent, f.tag, f.label)
+                for f in fs]
+    assert words(fz.factors[:-27]) == words(f for f in ref
+                                            if f.label not in pairs)
+    assert len(pairs) == 27
+    assert all(f == pairs[f.label] for f in fz.factors[-27:])
+    _assert_closed_by_pair_twists(fz)
+
+
+def _assert_closed_by_pair_twists(fz):
+    """The last 27 factors are the untransported sigma_{2t-1}^2."""
+    for f in fz.factors[-27:]:
+        t = int(re.match(r"V\d+:Z2\[(\d+),", f.label)[1])
+        assert (f.core.word, f.exponent, f.transport.word) == ((2 * t - 1,), 2, ())
+
+
+def test_regenerate_an_input_with_impure_factors_after_a_composite(graph,
+                                                                   phi8_fz):
+    """(C, N = x^2) -> (x, C^x, x) keeps the product; the factors after C^x
+    are no longer a pure braid, so pair twists kept in place untransported
+    would miss Delta^2_54, but closing the certificate with them does not."""
+    fs = phi8_fz.factors
+    i = next(i for i, f in enumerate(fs)
+             if f.tag == "composite" and fs[i + 1].tag == "node")
+    c, node = fs[i], fs[i + 1]
+    x = Factor._of(node.core, 1, "branch", node.transport, node.label)
+    h = Factorization(27, fs[:i] + (x, c.conjugate(x.braid()), x) + fs[i + 2:])
+    assert check_full_twist(h).passed
+    fz = regenerate(graph, h)
+    assert len(fz) == 514 and fz.degree == 2862
+    assert fz.product() == delta_squared(54)
+    _assert_closed_by_pair_twists(fz)
+    # the rejected placement: each composite's pair twists right after its
+    # 30 frame letters, untransported
+    pairs, in_place, frames = fz.factors[-27:], [], 0
+    for f in fz.factors[:-27]:
+        in_place.append(f)
+        if "|H" in f.label:
+            frames += 1
+            if frames % 30 == 0:        # the composite's last frame letter
+                v = frames // 30
+                in_place.extend(pairs[3 * v - 3:3 * v])
+    assert Factorization(54, in_place).product() != delta_squared(54)
 
 
 def _relabelled(fz, i, label):
