@@ -18,7 +18,6 @@ its docstring).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import compress, count, islice, repeat
 from operator import add, lt, neg
 
@@ -480,10 +479,20 @@ class _TokenTable(dict):
 _TOKENS = _TokenTable()
 
 
-@lru_cache(maxsize=None)
-def _letters(n: int) -> dict:
-    """token -> letter for every generator of B_n and its inverse."""
-    return {_TOKENS[k]: k for j in range(1, n) for k in (j, -j)}
+class _LetterTable(dict):
+    """token -> letter for every canonical token, each entry made on first
+    use; the letter's range is left to the Braid constructor."""
+
+    def __missing__(self, tok):
+        if not _CANONICAL.fullmatch(tok):
+            raise KeyError(tok)
+        k = int(tok[1:])
+        k = self[tok] = k if tok[0] == "s" else -k
+        return k
+
+
+_CANONICAL = re.compile(r"[sS](0|[1-9][0-9]*)")
+_LETTERS = _LetterTable()
 
 
 def to_text(word) -> str:
@@ -495,14 +504,15 @@ def from_text(n: int, text: str) -> Braid:
     """The braid of a text word; only canonical tokens of B_n are read."""
     tokens = text.split()
     try:
-        word = tuple(map(_letters(n).__getitem__, tokens))
-    except KeyError as e:
-        tok = e.args[0]
-        if not re.fullmatch(r"[sS](0|[1-9][0-9]*)", tok):
-            raise ValueError(f"bad braid token {tok!r}") from None
-        # a well-formed letter outside 1..n-1: the constructor's check names it
-        k = int(tok[1:])
-        word = (k if tok[0] == "s" else -k,)
+        word = tuple(map(_LETTERS.__getitem__, tokens))
+    except KeyError:
+        # name the first token that is malformed or outside 1..n-1
+        for tok in tokens:
+            try:
+                k = _LETTERS[tok]
+            except KeyError:
+                raise ValueError(f"bad braid token {tok!r}") from None
+            Braid(n, (k,))
     return Braid(n, word)
 
 

@@ -126,6 +126,10 @@ def cmd_regen(args) -> int:
 
 def cmd_table(args) -> int:
     manifest = RunManifest("table")
+    names = golden_names("tables")
+    if args.name not in names:
+        raise UsageError(f"unknown table {args.name!r}; the tables are "
+                         + ", ".join(names))
     obj = golden_json(f"tables/{args.name}.json")
     rep = VerificationReport()
     rows = golden_check(obj)

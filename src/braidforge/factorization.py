@@ -10,7 +10,6 @@ factors, multiplied left to right.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from operator import neg
 
 from .braid import (Braid, artin_gen, block_half_twist, common_suffix,
@@ -41,14 +40,18 @@ class Factor:
     derived on first read and cached; the hot paths never build it.
 
     The public constructor takes the twist: with a non-empty transport t it
-    stores the core t . twist . t^-1.  A certificate stores each factor as
-    {"core", "transport", "exp", "tag", "label"}, the last two omitted when
-    empty; a factor written with "twist" in place of "core", the older
-    format, still loads through the constructor.
+    stores the core t . twist . t^-1.
 
     In a monodromy factorization every transport is the braid accumulated
     along the sweep, so consecutive factors' transports share most of their
-    letters as a common suffix (`Factorization`).
+    letters as a common suffix.  A certificate (`Factorization.to_json`)
+    therefore writes a transport as its `head`, the letters before the
+    suffix it shares with the previous factor's transport, and `keep`, that
+    suffix's length: {"core", "exp", "tag", "label", "head", "keep"}, with
+    `label` and `head` omitted when empty and `keep` when 0.  Such an entry
+    is read against the previous transport, not alone.  Entries of the two
+    older formats, a full "transport" with "core" or with "twist" in place
+    of "core", still load, the latter through the constructor.
     """
 
     __slots__ = ("core", "exponent", "tag", "transport", "label", "_twist")
@@ -130,33 +133,57 @@ class Factor:
     def __repr__(self):
         return f"Factor({self.label or self.twist.to_text()}, r={self.exponent}, {self.tag})"
 
-    def to_json(self, transport_text: str | None = None) -> dict:
-        """The certificate entry; `transport_text`, when given, is
-        to_text of the transport, already rendered."""
+    def to_json(self, keep: int = 0) -> dict:
+        """The format-2 certificate entry of a factor whose transport ends
+        with the last `keep` letters of the previous factor's."""
         out = {"core": self.core.to_text(), "exp": self.exponent, "tag": self.tag}
         if self.label:
             out["label"] = self.label
-        if self.transport.word:
-            out["transport"] = (self.transport.to_text() if transport_text is None
-                                else transport_text)
+        w = self.transport.word
+        if len(w) > keep:
+            out["head"] = to_text(w[:len(w) - keep])
+        if keep:
+            out["keep"] = keep
         return out
 
     @classmethod
-    def from_json(cls, n: int, obj: dict, read=from_text) -> "Factor":
-        """The factor of a certificate entry; `read(n, text)` parses the
-        transport (`Factorization.from_json` passes a cached from_text)."""
+    def from_json(cls, n: int, obj: dict, prev: Braid | None = None) -> "Factor":
+        """The factor of a certificate entry.
+
+        In format 2, `prev` is the previous factor's transport (empty for the
+        first factor), and the transport is the entry's `head` followed by
+        the last `keep` letters of prev, cancelled at the join.  Without
+        `prev` the entry is of an older format, its transport written in
+        full.
+        """
         if type(obj["exp"]) is not int:
             raise ValueError(f"exponent must be an integer, got {obj['exp']!r}")
-        for field in ("core", "twist", "transport", "tag", "label"):
+        for field in ("core", "twist", "transport", "head", "tag", "label"):
             if not isinstance(obj.get(field, ""), str):
                 raise ValueError(f"{field} must be a string, got {obj[field]!r}")
-        if ("core" in obj) == ("twist" in obj):
-            raise ValueError("a factor needs exactly one of core and twist")
-        transport = read(n, obj.get("transport", ""))
         label = obj.get("label", "")
-        if "twist" in obj:
-            return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
-                       transport=transport, label=label)
+        if prev is None:
+            if "head" in obj or "keep" in obj:
+                raise ValueError("head and keep need a format 2 certificate")
+            if ("core" in obj) == ("twist" in obj):
+                raise ValueError("a factor needs exactly one of core and twist")
+            transport = from_text(n, obj.get("transport", ""))
+            if "twist" in obj:
+                return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
+                           transport=transport, label=label)
+        else:
+            for field in ("twist", "transport"):
+                if field in obj:
+                    raise ValueError(f"a format 2 factor has no {field}")
+            keep, pw = obj.get("keep", 0), prev.word
+            if type(keep) is not int or not 0 <= keep <= len(pw):
+                raise ValueError(f"keep must be an integer from 0 to {len(pw)}, "
+                                 f"the previous transport's length, got {keep!r}")
+            transport = from_text(n, obj.get("head", ""))
+            if keep == len(pw) and not transport.word:
+                transport = prev
+            elif keep:
+                transport = transport * Braid._reduced(n, pw[len(pw) - keep:])
         _check_tag(obj["exp"], obj["tag"])
         return cls._of(from_text(n, obj["core"]), obj["exp"], obj["tag"],
                        transport, label)
@@ -241,39 +268,23 @@ def transport_heads(factors):
         pw = w
 
 
-def _transport_texts(factors) -> list:
-    """to_text of every factor's transport.
-
-    A transport renders its head, then the previous transport's text from
-    the suffix the two share; an identical word reuses the previous text.
-    """
-    out, ptext = [], ""
-    for f, pw, k in transport_heads(factors):
-        w = f.transport.word
-        if k == len(w) == len(pw):
-            text = ptext
-        elif not k:
-            text = to_text(w)
-        else:
-            m = len(pw) - k
-            rest = ptext[len(to_text(pw[:m])) + 1:] if m else ptext
-            text = f"{to_text(w[:len(w) - k])} {rest}" if len(w) > k else rest
-        out.append(text)
-        ptext = text
-    return out
-
-
 class Factorization:
     """An ordered product of factors on `strands` strands.
 
-    Consecutive transports share long suffixes (97 % of the letters of the
+    Consecutive transports share long suffixes (98 % of the letters of the
     54-strand certificate), and the paths that walk the transports in order
     touch only each transport's head, the letters before the suffix it
     shares with the previous one: the product (`word`, `product`,
-    `Factor.braid`, through `_Product`), `dumps` (`_transport_texts`) and
-    `regenerate`'s cabling, the last two through `transport_heads`.  `loads`
-    parses every transport with from_text, reusing the braid of a text
-    identical to the previous one.
+    `Factor.braid`, through `_Product`), `to_json` and `regenerate`'s
+    cabling, the last two through `transport_heads`.
+
+    A certificate is {"format": 2, "strands", "factors"}: each factor writes
+    only its transport's head and the length of the suffix it keeps
+    (`Factor.to_json`), so `loads` parses only the heads and a transport
+    equal to the previous one is the same braid.  Deleting or reordering
+    entries therefore changes the transports after them.  A certificate
+    without "format" is of an older format and loads through the full
+    parser.
     """
 
     __slots__ = ("strands", "factors")
@@ -344,9 +355,9 @@ class Factorization:
         return f"Factorization(B_{self.strands}, {len(self.factors)} factors, deg {self.degree})"
 
     def to_json(self) -> dict:
-        return {"strands": self.strands,
-                "factors": [f.to_json(t) for f, t in
-                            zip(self.factors, _transport_texts(self.factors))]}
+        return {"format": 2, "strands": self.strands,
+                "factors": [f.to_json(k) for f, _, k in
+                            transport_heads(self.factors)]}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=1, sort_keys=True)
@@ -354,11 +365,22 @@ class Factorization:
     @classmethod
     def from_json(cls, obj: dict) -> "Factorization":
         n = obj["strands"]
-        if type(n) is not int:
-            raise ValueError(f"strand count must be an integer, got {n!r}")
-        # the factors regenerated from one vertex share its transport text
-        read = lru_cache(maxsize=1)(from_text)
-        return cls(n, [Factor.from_json(n, f, read) for f in obj["factors"]])
+        if type(n) is not int or n < 2:
+            raise ValueError(f"strand count must be an integer >= 2, got {n!r}")
+        if "format" not in obj:
+            return cls(n, [Factor.from_json(n, f) for f in obj["factors"]])
+        if type(obj["format"]) is not int or obj["format"] != 2:
+            raise ValueError(f"unknown certificate format {obj['format']!r}")
+        factors, t = [], Braid(n)
+        for i, f in enumerate(obj["factors"], 1):
+            try:
+                factors.append(Factor.from_json(n, f, t))
+            except ValueError as e:
+                raise ValueError(f"factor {i}: {e}") from None
+            except KeyError as e:
+                raise ValueError(f"factor {i}: missing field {e}") from None
+            t = factors[-1].transport
+        return cls._of(n, tuple(factors))
 
     @classmethod
     def loads(cls, text: str) -> "Factorization":

@@ -68,6 +68,16 @@ def test_table_command(capsys):
     assert out.count("ok  ") == 6
 
 
+@pytest.mark.parametrize("name", ["nosuch", "../x", "../regen/hv1"])
+def test_table_names_only_the_shipped_tables(capsys, name):
+    assert main(["table", name]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and repr(name) in err[0]
+    assert "v1_conic_a, v1_conic_b, v1_hyperbola" in err[0]
+
+
 def test_relations_command(tmp_path):
     src = tmp_path / "frame.json"
     src.write_text(frame_factorization(3).dumps())
@@ -209,6 +219,17 @@ def test_module_entry_point(tmp_path):
     {"strands": 3, "factors": [
         {"core": "s1", "exp": 1, "tag": "branch", "transport": "s2 s1"},
         {"core": "s1", "exp": 1, "tag": "branch", "transport": "s3 s1"}]},
+    {"strands": 0, "factors": []},
+    {"strands": 1, "factors": []},
+    {"strands": -2, "factors": []},
+    *({"format": 2, "strands": 3, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "head": "s2 s1"},
+        {"core": "s1", "exp": 1, "tag": "branch", **bad}]}
+      for bad in ({"keep": "1"}, {"keep": True}, {"keep": -1}, {"keep": 3},
+                  {"transport": "s2 s1"}, {"head": 5}, {"head": "s2 x1"})),
+    {"format": 3, "strands": 3, "factors": []},
+    {"strands": 3, "factors": [{"core": "s1", "exp": 1, "tag": "branch",
+                                "keep": 1}]},
 ])
 @pytest.mark.parametrize("command", [["verify"], ["relations"],
                                      ["regen", "run", "--in"]])

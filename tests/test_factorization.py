@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -219,6 +220,10 @@ def test_regenerated_certificate_is_small(graph):
     assert len(regenerate(graph).dumps()) < 3_000_000
 
 
+def test_regenerated_certificate_writes_transport_heads_only(graph):
+    assert len(regenerate(graph).dumps()) < 250_000
+
+
 def test_pipeline_builds_no_twist(phi8_fz, graph):
     """Loading, regenerating, certifying and writing read cores and
     transports only: no factor's twist is built."""
@@ -321,6 +326,7 @@ def test_word_of_a_loaded_certificate(request, name):
 
 
 def _dumps_per_factor(fz):
+    """fz as a certificate of format 1, each transport written in full."""
     factors = []
     for f in fz:
         obj = {"core": to_text(f.core.word), "exp": f.exponent, "tag": f.tag}
@@ -333,12 +339,144 @@ def _dumps_per_factor(fz):
                       indent=1, sort_keys=True)
 
 
+def _dumps_head_keep(fz):
+    """fz as a certificate of format 2, each factor rendered on its own: the
+    suffix its transport shares with the previous one is found letter by
+    letter."""
+    factors, prev = [], ()
+    for f in fz:
+        w = f.transport.word
+        keep = 0
+        while (keep < min(len(w), len(prev))
+               and w[len(w) - 1 - keep] == prev[len(prev) - 1 - keep]):
+            keep += 1
+        obj = {"core": to_text(f.core.word), "exp": f.exponent, "tag": f.tag}
+        if f.label:
+            obj["label"] = f.label
+        if len(w) > keep:
+            obj["head"] = to_text(w[:len(w) - keep])
+        if keep:
+            obj["keep"] = keep
+        factors.append(obj)
+        prev = w
+    return json.dumps({"format": 2, "strands": fz.strands, "factors": factors},
+                      indent=1, sort_keys=True)
+
+
 @pytest.mark.parametrize("case", ["phi8", "phi0", "conj", "moved"])
 def test_dumps_matches_the_per_factor_rendering(phi8_fz, regen_fz, case):
     fz = {"phi8": phi8_fz, "phi0": regen_fz,
           "conj": conj_factorization(phi8_fz),
           "moved": _moved_phi8(phi8_fz, 5)}[case]
-    assert fz.dumps() == _dumps_per_factor(fz)
+    assert fz.dumps() == _dumps_head_keep(fz)
+
+
+def _assert_word_identical(a, b):
+    assert a.strands == b.strands and len(a) == len(b)
+    for f, g in zip(a, b):
+        assert f.core.word == g.core.word
+        assert f.transport.word == g.transport.word
+        assert (f.exponent, f.tag, f.label) == (g.exponent, g.tag, g.label)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["phi8", "phi0", "conj", "moved", "moved-regen"]),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_format_2_round_trip(graph, phi8_fz, regen_fz, case, seed):
+    """loads(dumps(x)) has x's words, exponents, tags and labels, and it
+    dumps to the same text."""
+    if case == "phi8":
+        fz = phi8_fz
+    elif case == "phi0":
+        fz = regen_fz
+    elif case == "conj":
+        fz = conj_factorization(phi8_fz)
+    else:
+        fz = _moved_phi8(phi8_fz, seed)
+        if case == "moved-regen":
+            fz = regenerate(graph, fz)
+    text = fz.dumps()
+    back = Factorization.loads(text)
+    _assert_word_identical(back, fz)
+    assert back.dumps() == text
+
+
+@pytest.mark.parametrize("name", ["phi8_fz", "regen_fz"])
+def test_format_1_certificate_loads(request, name):
+    fz = request.getfixturevalue(name)
+    back = Factorization.loads(_dumps_per_factor(fz))
+    _assert_word_identical(back, fz)
+    assert back.dumps() == fz.dumps()
+
+
+def test_a_head_that_cancels_into_the_kept_suffix_is_reduced():
+    fz = Factorization.loads(json.dumps({"format": 2, "strands": 4, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "head": "s2 s3"},
+        {"core": "s1", "exp": 1, "tag": "branch", "head": "s1 S2", "keep": 2},
+        {"core": "s1", "exp": 1, "tag": "branch", "keep": 1}]}))
+    assert [f.transport.word for f in fz] == [(2, 3), (1, 3), (3,)]
+
+
+def _format_2(*factors):
+    return json.dumps({"format": 2, "strands": 4, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "head": "s2 s3"}, *factors]})
+
+
+@pytest.mark.parametrize("factor, message", [
+    ({"keep": 1.0}, "keep must be an integer from 0 to 2, the previous "
+                    "transport's length, got 1.0"),
+    ({"keep": True}, "keep must be an integer from 0 to 2, the previous "
+                     "transport's length, got True"),
+    ({"keep": -1}, "keep must be an integer from 0 to 2, the previous "
+                   "transport's length, got -1"),
+    ({"keep": 3}, "keep must be an integer from 0 to 2, the previous "
+                  "transport's length, got 3"),
+    ({"transport": "s2 s3"}, "a format 2 factor has no transport"),
+    ({"twist": "s1"}, "a format 2 factor has no twist"),
+    ({"head": 5}, "head must be a string, got 5"),
+    ({"head": "s2 x3"}, "bad braid token 'x3'"),
+    ({"head": "s2 s4"}, "letter 4 out of range for B_4"),
+    ({"exp": None}, "exponent must be an integer, got None"),
+])
+def test_format_2_errors_name_the_factor(factor, message):
+    entry = {"core": "s1", "exp": 1, "tag": "branch", **factor}
+    with pytest.raises(ValueError) as e:
+        Factorization.loads(_format_2(entry))
+    assert str(e.value) == f"factor 2: {message}"
+
+
+def test_a_missing_format_2_field_names_the_factor():
+    with pytest.raises(ValueError) as e:
+        Factorization.loads(_format_2({"exp": 1, "tag": "branch", "keep": 2}))
+    assert str(e.value) == "factor 2: missing field 'core'"
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"format": 1, "strands": 3, "factors": []}, "unknown certificate format 1"),
+    ({"format": "2", "strands": 3, "factors": []},
+     "unknown certificate format '2'"),
+    ({"strands": 1, "factors": []}, "strand count must be an integer >= 2, got 1"),
+    ({"strands": 3, "factors": [{"core": "s1", "exp": 1, "tag": "branch",
+                                 "head": "s2"}]},
+     "head and keep need a format 2 certificate"),
+])
+def test_certificate_level_errors(obj, message):
+    with pytest.raises(ValueError) as e:
+        Factorization.loads(json.dumps(obj))
+    assert str(e.value) == message
+
+
+def test_loading_a_certificate_on_many_strands_is_small():
+    text = json.dumps({"format": 2, "strands": 10 ** 5, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "head": "s99999 S5"}]})
+    tracemalloc.start()
+    try:
+        fz = Factorization.loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fz.strands == 10 ** 5 and fz.factors[0].transport.word == (99999, -5)
+    assert peak < 1_000_000
 
 
 _tokens = st.sampled_from(["s1", "S1", "s2", "S2", "s3", "S3", "s12", "S12"])

@@ -1,7 +1,10 @@
 """Certification toolkit: reports, full-twist checks, BFS, census, relations."""
 
+import json
+
 import pytest
 
+from braidforge import verify
 from braidforge.braid import Braid, artin_gen, delta_squared
 from braidforge.factorization import (Factor, Factorization,
                                       frame_factorization, hurwitz_move)
@@ -47,6 +50,22 @@ def test_check_full_twist_fails_with_witness():
     assert not rep.passed
     witnesses = [c["witness"] for c in rep.checks if c["status"] == "fail"]
     assert any("deficit 1" in w for w in witnesses)
+
+
+def test_a_degree_deficit_skips_the_product_check(monkeypatch):
+    """The degree is a homomorphism, so a wrong degree decides the product
+    check without building the full twist."""
+    def no_full_twist(n):
+        raise AssertionError(f"built the full twist of B_{n}")
+    monkeypatch.setattr(verify, "delta_squared", no_full_twist)
+    fz = Factorization.loads(json.dumps({"format": 2, "strands": 10 ** 6,
+                                         "factors": [{"core": "s1", "exp": 1,
+                                                      "tag": "branch"}]}))
+    rep = check_full_twist(fz)
+    assert not rep.passed
+    assert [c["status"] for c in rep.checks] == ["fail", "skipped"]
+    assert rep.checks[1]["witness"] == \
+        f"not computed: degree 1 is not {10 ** 6 * (10 ** 6 - 1)}"
 
 
 def test_hurwitz_equivalent_yes():
