@@ -3,44 +3,46 @@
 Subcommands: degen, regen, table, verify, relations, goldens.
 JSON is the only interchange format; all runs are deterministic and emit a
 RunManifest alongside requested artifacts.
+
+Each command imports the engines it runs, because every `forge` call is a
+fresh interpreter that would otherwise load and compile all of them first.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 
 from . import __version__
-from .data import golden_json, golden_names
-from .degeneration import build_tt, markers, phi8
 from .factorization import Factorization
-from .lefschetz import golden_check
-from .regeneration import (conic_identity, conic_tables, hv_diff,
-                           hv_paper_factors, regen_audit, regenerate)
-from .verify import VerificationReport, check_full_twist, emit_relations
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+from .verify import (VerificationReport, check_full_twist, emit_relations,
+                     regen_audit)
 
 
 class RunManifest:
+    """The command, engine version, wall time, and the SHA-256 of each file
+    read or written, hashed only when a --report asks for them."""
+
     def __init__(self, command: str):
         self.data = {"command": command, "engine_version": __version__,
                      "inputs": {}, "outputs": {}, "wall_time_s": None}
+        self._texts = {"inputs": {}, "outputs": {}}
         self._t0 = time.perf_counter()
 
     def add_input(self, path: str, text: str):
-        self.data["inputs"][path] = _sha256(text)
+        self._texts["inputs"][path] = text
 
     def add_output(self, path: str, text: str):
-        self.data["outputs"][path] = _sha256(text)
+        self._texts["outputs"][path] = text
 
     def finish(self) -> dict:
+        from hashlib import sha256
         self.data["wall_time_s"] = round(time.perf_counter() - self._t0, 3)
+        for key, texts in self._texts.items():
+            self.data[key] = {p: sha256(t.encode()).hexdigest()
+                              for p, t in texts.items()}
         return self.data
 
 
@@ -86,6 +88,7 @@ def _emit_report(rep: VerificationReport, args, manifest: RunManifest,
 
 
 def cmd_degen(args) -> int:
+    from .degeneration import build_tt, phi8
     manifest = RunManifest("degen")
     fz = phi8(build_tt())
     rep = VerificationReport()
@@ -101,6 +104,8 @@ def cmd_degen(args) -> int:
 
 
 def cmd_regen(args) -> int:
+    from .degeneration import build_tt
+    from .regeneration import regenerate
     manifest = RunManifest("regen")
     src = _load(args.infile, manifest) if args.infile else None
     try:
@@ -125,6 +130,8 @@ def cmd_regen(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .data import golden_json, golden_names
+    from .lefschetz import golden_check
     manifest = RunManifest("table")
     names = golden_names("tables")
     if args.name not in names:
@@ -164,6 +171,11 @@ def cmd_relations(args) -> int:
 
 
 def cmd_goldens(args) -> int:
+    from .data import golden_json, golden_names
+    from .degeneration import build_tt, markers
+    from .lefschetz import golden_check
+    from .regeneration import (conic_identity, conic_tables, hv_diff,
+                               hv_paper_factors, regenerate)
     manifest = RunManifest("goldens")
     rep = VerificationReport()
     g = build_tt()

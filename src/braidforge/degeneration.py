@@ -20,9 +20,9 @@ smaller endpoint is j, then the full twist on the six lines through j.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
-from .braid import Braid, block_half_twist
+from .braid import Braid, block_half_twist, inverse_word
 from .factorization import COMPOSITE_TAG, Factor, Factorization, _Product
 
 
@@ -92,11 +92,12 @@ def markers(g: DegenGraph, t: int):
 def _realization(g: DegenGraph):
     """Vertices on a convex parabola; line t joins its two vertices.
 
-    Returns (slopes, intercepts) of the 27 lines as exact rationals.  The
-    abscissas grow fast enough that the slope order (hence the fiber order far
-    to the right) coincides with the global line order.
+    Returns the abscissas a of the vertices and the slopes and intercepts of
+    the 27 lines, all integers.  The abscissas grow fast enough that the
+    slope order (hence the fiber order far to the right) coincides with the
+    global line order.
     """
-    a = {j: Fraction(4 ** j + j * j) for j in g.vertices}
+    a = {j: 4 ** j + j * j for j in g.vertices}
     slope, icept = {}, {}
     for t, (al, be) in enumerate(g.lines, start=1):
         # line through (a_al, a_al^2) and (a_be, a_be^2)
@@ -113,17 +114,21 @@ def _events(g: DegenGraph):
 
     Each event is (x, kind, payload): a vertex event carries the vertex index,
     a crossing event the disjoint pair (p, t).  The base point lies far to the
-    right, so events are swept in decreasing x.
+    right, so events are swept in decreasing x.  A crossing's abscissa is a
+    ratio of integers, so x is the abscissa times the lcm of those
+    denominators: an exact integer key.
     """
     a, slope, icept = _realization(g)
-    events = []
-    for j in g.vertices:
-        events.append((a[j], "vertex", j))
+    crossings = []          # (numerator, positive denominator, (p, t))
     for t in range(1, g.n_lines + 1):
         for p in range(1, t):
             if g.disjoint(p, t):
-                x = (icept[t] - icept[p]) / (slope[p] - slope[t])
-                events.append((x, "cross", (p, t)))
+                crossings.append((icept[p] - icept[t], slope[t] - slope[p],
+                                  (p, t)))
+    scale = lcm(*(den for _, den, _ in crossings))
+    events = [(a[j] * scale, "vertex", j) for j in g.vertices]
+    events += [(num * (scale // den), "cross", pair)
+               for num, den, pair in crossings]
     xs = [e[0] for e in events]
     if len(set(xs)) != len(xs):
         raise ValueError("degenerate realization: coincident singular values")
@@ -134,14 +139,15 @@ def _events(g: DegenGraph):
 def _sweep(g: DegenGraph):
     """Sweep the fiber across all singular values.
 
-    Maintains the current fiber order and the accumulated conjugating word W.
-    Each event contributes the factor W . Delta^2<block> . W^-1, where the
-    block is the (consecutive) run of lines meeting at the event; afterwards W
-    absorbs the half twist of the block and the block order reverses.
+    Maintains the current fiber order and the accumulated conjugating word W,
+    a product of positive half twists and so freely reduced.  Each event
+    contributes the factor W . Delta^2<block> . W^-1, where the block is the
+    (consecutive) run of lines meeting at the event; afterwards W absorbs the
+    half twist of the block and the block order reverses.
 
-    Returns records (kind, payload, offset, size, W_before) in product order
-    (farthest event first); the factor product in this order is the full
-    twist.
+    Returns the records (kind, payload, offset, size, m) in product order
+    (farthest event first), m the length of W before the event, and W; the
+    factor product in this order is the full twist.
     """
     n = g.n_lines
     fiber = list(range(1, n + 1))
@@ -154,24 +160,24 @@ def _sweep(g: DegenGraph):
         a0, k = pos[0], len(pos)
         if pos != list(range(a0, a0 + k)):
             raise ValueError(f"event lines {lines} not consecutive in the fiber")
-        records.append((kind, payload, a0, k, list(W)))
-        W = W + list(block_half_twist(n, a0 + 1, a0 + k).word)
+        records.append((kind, payload, a0, k, len(W)))
+        W.extend(block_half_twist(n, a0 + 1, a0 + k).word)
         fiber[a0:a0 + k] = reversed(fiber[a0:a0 + k])
     records.reverse()
-    return records
+    return records, W
 
 
-def _record_factor(g: DegenGraph, n: int, kind, payload, a0, k, W) -> Factor:
-    """The monodromy factor of one sweep record."""
-    ci = Braid(n, W).inverse()
+def _record_factor(g: DegenGraph, n: int, kind, payload, a0, k,
+                   transport: Braid) -> Factor:
+    """The monodromy factor of one sweep record, W^-1 its transport."""
     if kind == "cross":
         p, t = payload
-        return Factor(Braid(n, [a0 + 1]), 2, "node",
-                      label=f"D{t}:{_pair_notation(g, p, t)}").conjugate(ci)
+        return Factor._of(Braid._reduced(n, (a0 + 1,)), 2, "node", transport,
+                          f"D{t}:{_pair_notation(g, p, t)}")
     lines = g.incident_lines(payload)
     core = block_half_twist(n, a0 + 1, a0 + k) ** 2
     label = f"V{payload}:Delta2<" + ",".join(str(t) for t in lines) + ">"
-    return Factor(core, 1, COMPOSITE_TAG, label=label).conjugate(ci)
+    return Factor._of(core, 1, COMPOSITE_TAG, transport, label)
 
 
 def _paper_order(g: DegenGraph):
@@ -190,11 +196,14 @@ def _paper_order(g: DegenGraph):
 def _build_phi8(g: DegenGraph) -> Factorization:
     """Sweep, then regroup by Hurwitz moves into the standard order."""
     n = g.n_lines
-    records = _sweep(g)
+    records, W = _sweep(g)
+    # the transport of a record is W[:m]^-1, the last m letters of W^-1
+    winv = inverse_word(W)
     cur = []  # (key, Factor) in sweep order
-    for kind, payload, a0, k, W in records:
-        f = _record_factor(g, n, kind, payload, a0, k, W)
-        cur.append(((kind, payload), f))
+    for kind, payload, a0, k, m in records:
+        t = Braid._reduced(n, winv[len(winv) - m:])
+        cur.append(((kind, payload), _record_factor(g, n, kind, payload,
+                                                    a0, k, t)))
     out = []
     prefix = [_Product(n)]  # prefix[i]: product of cur[:i], kept while valid
     for key in _paper_order(g):
@@ -207,8 +216,9 @@ def _build_phi8(g: DegenGraph) -> Factorization:
         # pulling a factor left past a prefix conjugates it by the prefix;
         # the products past idx contained it and are rebuilt when needed
         del prefix[idx + 1:]
-        out.append(f.conjugate(prefix[idx].braid().inverse()) if idx else f)
-    return Factorization(n, out)
+        out.append(f.conjugate(Braid._reduced(
+            n, inverse_word(prefix[idx].word()))) if idx else f)
+    return Factorization._of(n, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A Factor is a conjugate t^-1 . core . t of a local model, the core, raised
 to an Artin exponent r in {1,2,3,4} and tagged with the singularity type it
 came from (branch/node/cusp/tangent), or a composite block (e.g. a full twist
-Delta^2<...>) with exponent 1.  A Factorization is an ordered product of
+Delta^2<...>) with exponent 1 or 2.  A Factorization is an ordered product of
 factors, multiplied left to right.
 """
 
@@ -27,6 +27,11 @@ def _check_tag(exponent: int, tag: str) -> None:
                 f"tag {tag!r} requires exponent {SINGULARITY_TAGS[tag]}, got {exponent}")
     elif tag != COMPOSITE_TAG:
         raise ValueError(f"unknown provenance tag {tag!r}")
+    elif exponent not in (1, 2):
+        # a vertex's block full twist, or a Lefschetz row's block half twist
+        # squared; no producer writes another, and a large exponent would
+        # only blow up the product word
+        raise ValueError(f"tag {tag!r} requires exponent 1 or 2, got {exponent}")
 
 
 class Factor:

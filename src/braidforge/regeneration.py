@@ -49,6 +49,8 @@ from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, EXP_TAG, Factor, Factorization,
                             _vertex_split, _where, transport_heads)
+# the one label pattern, and the audit that reads it (still importable here)
+from .verify import _LABEL, regen_audit  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +521,6 @@ def _branch_assignment(g) -> dict:
     return lines_of
 
 
-# a label D<t>: (parasitic, line t) or V<j>: (vertex j), after one ~ per
-# complex conjugation (`conj_factorization`)
-_LABEL = re.compile(r"~*([DV])(\d+):")
-
-
 def regenerate(g, fz: Factorization | None = None) -> Factorization:
     """The doubled factorization on 54 strands of fz (default `phi8(g)`).
 
@@ -570,22 +567,6 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
     return Factorization(2 * n, out + pairs)
 
 
-def regen_audit(fz: Factorization) -> dict:
-    """Degree bookkeeping by label (`_LABEL`): parasitic, and by vertex."""
-    total = parasitic = 0
-    per_vertex = {}
-    for f in fz.factors:
-        d = f.degree
-        total += d
-        m = _LABEL.match(f.label)
-        if m and m[1] == "D":
-            parasitic += d
-        elif m:
-            v = int(m[2])
-            per_vertex[v] = per_vertex.get(v, 0) + d
-    return {"total": total, "parasitic": parasitic, "per_vertex": per_vertex}
-
-
 # ---------------------------------------------------------------------------
 # printed local monodromies of the three worked vertices (diff reporting)
 
@@ -598,7 +579,8 @@ def hv_paper_factors(obj) -> Factorization:
 
 def hv_diff(engine: Factorization, vertex: int, paper: Factorization) -> list:
     """Factor-by-factor comparison report (strings); empty means identical."""
-    mine = [f for f in engine.factors if f.label.startswith(f"V{vertex}")]
+    mine = [f for f in engine.factors if (m := _LABEL.match(f.label))
+            and m[1] == "V" and int(m[2]) == vertex]
     out = []
     if len(mine) != len(paper.factors):
         out.append(f"factor count: engine {len(mine)}, printed {len(paper.factors)}")

@@ -1,9 +1,11 @@
 """Certification toolkit: product checks, Hurwitz-equivalence search,
-invariance checks, factor census, and van Kampen relation templates.
+invariance checks, factor census, degree audit by label, and van Kampen
+relation templates.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from collections import deque
 
@@ -76,6 +78,27 @@ def check_full_twist(f: Factorization) -> VerificationReport:
                 f"normal form inf {inf} with {len(facs)} factors")
     rep.runtime["check_full_twist"] = time.perf_counter() - t0
     return rep
+
+
+# a label D<t>: (parasitic, line t) or V<j>: (vertex j), after one ~ per
+# complex conjugation (`conj_factorization`)
+_LABEL = re.compile(r"~*([DV])(\d+):")
+
+
+def regen_audit(fz: Factorization) -> dict:
+    """Degree bookkeeping by label (`_LABEL`): parasitic, and by vertex."""
+    total = parasitic = 0
+    per_vertex = {}
+    for f in fz.factors:
+        d = f.degree
+        total += d
+        m = _LABEL.match(f.label)
+        if m and m[1] == "D":
+            parasitic += d
+        elif m:
+            v = int(m[2])
+            per_vertex[v] = per_vertex.get(v, 0) + d
+    return {"total": total, "parasitic": parasitic, "per_vertex": per_vertex}
 
 
 def _state(f: Factorization):

@@ -1,8 +1,11 @@
 """CLI behavior: exit codes, artifacts, reports, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +233,12 @@ def test_module_entry_point(tmp_path):
     {"format": 3, "strands": 3, "factors": []},
     {"strands": 3, "factors": [{"core": "s1", "exp": 1, "tag": "branch",
                                 "keep": 1}]},
+    # a degree-0 composite to the power 10^8 and six frame letters: degree
+    # 6 = n(n-1), so the product check would build a word of 4*10^8 letters
+    {"format": 2, "strands": 3, "factors": [
+        {"core": "s1 s2 S1 S2", "exp": 10 ** 8, "tag": "composite"},
+        *({"core": f"s{k}", "exp": 1, "tag": "branch"}
+          for _ in range(3) for k in (1, 2))]},
 ])
 @pytest.mark.parametrize("command", [["verify"], ["relations"],
                                      ["regen", "run", "--in"]])
@@ -241,6 +250,17 @@ def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert str(path) in err
+
+
+@pytest.mark.parametrize("exp", [0, -1, 3, 10 ** 8])
+def test_a_composite_exponent_other_than_1_or_2_is_a_usage_error(
+        tmp_path, capsys, exp):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format": 2, "strands": 3, "factors": [
+        {"core": "s1 s2 S1 S2", "exp": exp, "tag": "composite"}]}))
+    assert main(["verify", str(path)]) == 2
+    assert (f"factor 1: tag 'composite' requires exponent 1 or 2, got {exp}"
+            in capsys.readouterr().err)
 
 
 def test_unreadable_certificate_is_a_usage_error(tmp_path, capsys):
@@ -265,3 +285,65 @@ def test_relations_on_regenerated_certificate_names_the_factor(
 def test_dead_flags_are_gone():
     assert main(["--jobs", "2", "goldens"]) == 2
     assert main(["verify", "x.json", "--hurwitz-budget", "5"]) == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# run in a fresh interpreter: the modules a forge command adds to the ones
+# the interpreter started with, printed as the last line
+_LOADED = """
+import json, sys
+before = set(sys.modules)
+from braidforge.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def _fresh_run(tmp_path, args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    return set(loaded)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_commands_load_only_the_engines_they_run(tmp_path):
+    """Each forge call is a fresh interpreter: without --report none hashes,
+    nothing reads exact fractions, degen loads no regeneration or Lefschetz
+    engine and regen no Lefschetz engine."""
+    never = {"hashlib", "fractions"}
+    steps = (["degen", "phi8", "--out", "A.json"],
+             ["regen", "run", "--in", "A.json", "--out", "B.json"],
+             ["verify", "B.json"],
+             ["goldens"])
+    loaded = {args[0]: _fresh_run(tmp_path, args) for args in steps}
+    for cmd, mods in loaded.items():
+        assert not mods & never, cmd
+    assert not loaded["degen"] & {"braidforge.regeneration",
+                                  "braidforge.lefschetz"}
+    assert "braidforge.lefschetz" not in loaded["regen"]
+    assert "braidforge.regeneration" in loaded["regen"]
+
+
+def test_report_digests_are_the_files_sha256(tmp_path):
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    runs = ((["degen", "phi8", "--out", str(a)], {}, {str(a)}),
+            (["regen", "run", "--in", str(a), "--out", str(b)], {str(a)},
+             {str(b)}),
+            (["verify", str(b)], {str(b)}, {}),
+            (["goldens"], {}, {}))
+    for args, inputs, outputs in runs:
+        report = tmp_path / f"{args[0]}.report.json"
+        assert main(args + ["--report", str(report)]) == 0
+        manifest = json.loads(report.read_text())["manifest"]
+        assert manifest["command"] == args[0]
+        assert manifest["inputs"] == {p: _sha256(p) for p in inputs}
+        assert manifest["outputs"] == {p: _sha256(p) for p in outputs}

@@ -1,15 +1,19 @@
 """The 27-line arrangement and its degenerated monodromy factorization."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
-from braidforge.braid import delta_squared
+from braidforge.braid import Braid, block_half_twist, delta_squared
 from braidforge.data import golden_json
-from braidforge.degeneration import (_marker_text, build_tt,
+from braidforge.degeneration import (_build_phi8, _events, _marker_text,
+                                     _paper_order, _pair_notation,
+                                     _realization, build_tt,
                                      check_pair_partition, degree_audit,
                                      dt_notation, markers, parasitic_Dt, phi8,
                                      tilde_Cj, tilde_Delta2)
+from braidforge.factorization import COMPOSITE_TAG, Factor, _Product
 
 
 def test_graph_combinatorics(graph):
@@ -81,3 +85,75 @@ def test_parasitic_notation_matches_transcription(graph):
 def test_determinism():
     a, b = build_tt(), build_tt()
     assert phi8(a).dumps() == phi8(b).dumps()
+
+
+def _fraction_events(g):
+    """The singular values as exact fractions, nearest the base point (the
+    largest) first."""
+    a, slope, icept = _realization(g)
+    events = [(Fraction(a[j]), "vertex", j) for j in g.vertices]
+    events += [(Fraction(icept[t] - icept[p], slope[p] - slope[t]), "cross",
+                (p, t))
+               for t in range(1, g.n_lines + 1) for p in range(1, t)
+               if g.disjoint(p, t)]
+    events.sort(key=lambda e: e[0], reverse=True)
+    return events
+
+
+def test_integer_sweep_keys_are_the_scaled_abscissas(graph):
+    ref = _fraction_events(graph)
+    got = _events(graph)
+    assert [e[1:] for e in got] == [e[1:] for e in ref]
+    assert len(got) == 225 and len({e[0] for e in got}) == 225
+    # one common positive scale: each key is its abscissa times it
+    assert all(x != 0 for x, _, _ in ref)
+    scales = {Fraction(key) / x for (key, _, _), (x, _, _) in zip(got, ref)}
+    assert len(scales) == 1 and scales.pop() > 0
+
+
+def _reference_phi8(g):
+    """The sweep and regroup through the public Factor constructor, with one
+    Braid per prefix and its inverse; a reference for `_build_phi8`."""
+    n = g.n_lines
+    fiber = list(range(1, n + 1))
+    W = []
+    records = []
+    for _x, kind, payload in _events(g):
+        lines = (list(g.incident_lines(payload)) if kind == "vertex"
+                 else list(payload))
+        a0, k = min(fiber.index(l) for l in lines), len(lines)
+        records.append((kind, payload, a0, k, list(W)))
+        W = W + list(block_half_twist(n, a0 + 1, a0 + k).word)
+        fiber[a0:a0 + k] = reversed(fiber[a0:a0 + k])
+    cur = []
+    for kind, payload, a0, k, w in reversed(records):
+        ci = Braid(n, w).inverse()
+        if kind == "cross":
+            p, t = payload
+            f = Factor(Braid(n, [a0 + 1]), 2, "node",
+                       label=f"D{t}:{_pair_notation(g, p, t)}").conjugate(ci)
+        else:
+            lines = g.incident_lines(payload)
+            core = block_half_twist(n, a0 + 1, a0 + k) ** 2
+            label = ("V" + str(payload) + ":Delta2<"
+                     + ",".join(str(t) for t in lines) + ">")
+            f = Factor(core, 1, COMPOSITE_TAG, label=label).conjugate(ci)
+        cur.append(((kind, payload), f))
+    out = []
+    for key in _paper_order(g):
+        idx = next(i for i, (kk, _) in enumerate(cur) if kk == key)
+        prefix = _Product(n)
+        for _, h in cur[:idx]:
+            prefix.push(h)
+        _, f = cur.pop(idx)
+        out.append(f.conjugate(prefix.braid().inverse()) if idx else f)
+    return out
+
+
+def test_phi8_build_matches_the_constructor_reference(graph):
+    got = _build_phi8(graph).factors
+    ref = _reference_phi8(graph)
+    assert len(got) == len(ref) == 225
+    for i, (a, b) in enumerate(zip(got, ref), 1):
+        assert (a.core.word, a.transport.word, a.exponent, a.tag, a.label) \
+            == (b.core.word, b.transport.word, b.exponent, b.tag, b.label), i

@@ -16,7 +16,7 @@ from braidforge.factorization import conj_factorization
 from braidforge.regeneration import (DoublingMap, _block_delta2, _pair_rho,
                                      _revprod, atom_factors, band_full_twist,
                                      cable, cable_word, conic_identity,
-                                     conic_tables, doubled_labels,
+                                     conic_tables, doubled_labels, hv_diff,
                                      hv_paper_factors, node_factors,
                                      parse_regen_atom, partial_cable,
                                      regen_audit, regen_rule1, regen_rule2,
@@ -600,3 +600,17 @@ def test_printed_factors_are_half_twists(dm2):
     rules += [regen_rule2(node, dm2, side) for side in ("i-side", "j-side", "both")]
     for out in rules:
         assert out and all(f.is_half_twist() for f in out)
+
+
+def test_hv_diff_reads_the_labels_of_the_conjugate(graph, phi8_fz):
+    """hv_diff picks a vertex's factors by label (`_LABEL`): the 30 frame
+    letters and 3 pair twists, also when complex conjugation has prefixed
+    the frame letters' labels with ~."""
+    plain = regenerate(graph)
+    conj = regenerate(graph, conj_factorization(phi8_fz))
+    for name in ("hv1", "hv4", "hv7"):
+        obj = golden_json(f"regen/{name}.json")
+        paper = hv_paper_factors(obj)
+        for fz in (plain, conj):
+            diff = hv_diff(fz, obj["vertex"], paper)
+            assert diff[0] == "factor count: engine 33, printed 54", name
