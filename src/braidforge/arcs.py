@@ -86,8 +86,8 @@ def arc_factor(cfg: PunctureConfig, a, b, exponent: int, tag: str,
     for p in range(pb - 1, pa, -1):
         below = (side == BELOW) != (cfg.label_at(p) in flipped)
         word.append(p + 1 if below else -(p + 1))
-    return Factor._of(artin_gen(cfg.n, pa + 1), exponent, tag,
-                      Braid(cfg.n, word).inverse(), label)
+    return Factor(artin_gen(cfg.n, pa + 1), exponent, tag,
+                  Braid(cfg.n, word).inverse(), label)
 
 
 def arc_twist(cfg: PunctureConfig, a, b, side: str = BELOW,

@@ -172,12 +172,12 @@ def _record_factor(g: DegenGraph, n: int, kind, payload, a0, k,
     """The monodromy factor of one sweep record, W^-1 its transport."""
     if kind == "cross":
         p, t = payload
-        return Factor._of(Braid._reduced(n, (a0 + 1,)), 2, "node", transport,
-                          f"D{t}:{_pair_notation(g, p, t)}")
+        return Factor(Braid._reduced(n, (a0 + 1,)), 2, "node", transport,
+                      f"D{t}:{_pair_notation(g, p, t)}")
     lines = g.incident_lines(payload)
     core = block_half_twist(n, a0 + 1, a0 + k) ** 2
     label = f"V{payload}:Delta2<" + ",".join(str(t) for t in lines) + ">"
-    return Factor._of(core, 1, COMPOSITE_TAG, transport, label)
+    return Factor(core, 1, COMPOSITE_TAG, transport, label)
 
 
 def _paper_order(g: DegenGraph):
@@ -233,15 +233,6 @@ def phi8(g: DegenGraph) -> Factorization:
     if g.lines not in _PHI8_CACHE:
         _PHI8_CACHE[g.lines] = _build_phi8(g)
     return _PHI8_CACHE[g.lines]
-
-
-def parasitic_Dt(g: DegenGraph, t: int) -> Factorization:
-    """D_t: full twists of L_t with every earlier line disjoint from it."""
-    if not 1 <= t <= g.n_lines:
-        raise ValueError(f"line index {t} out of range")
-    pre = f"D{t}:"
-    return Factorization(g.n_lines,
-                         [f for f in phi8(g) if f.label.startswith(pre)])
 
 
 def tilde_Cj(g: DegenGraph, j: int) -> Factorization:

@@ -44,8 +44,9 @@ class Factor:
     composite (exponent 1, tag "composite").  The `twist` t^-1 . core . t is
     derived on first read and cached; the hot paths never build it.
 
-    The public constructor takes the twist: with a non-empty transport t it
-    stores the core t . twist . t^-1.
+    The constructor checks that the tag admits the exponent and that core
+    and transport lie in one braid group, and stores them as given; without
+    a transport the core is the twist.
 
     In a monodromy factorization every transport is the braid accumulated
     along the sweep, so consecutive factors' transports share most of their
@@ -54,37 +55,25 @@ class Factor:
     suffix it shares with the previous factor's transport, and `keep`, that
     suffix's length: {"core", "exp", "tag", "label", "head", "keep"}, with
     `label` and `head` omitted when empty and `keep` when 0.  Such an entry
-    is read against the previous transport, not alone.  Entries of the two
-    older formats, a full "transport" with "core" or with "twist" in place
-    of "core", still load, the latter through the constructor.
+    is read against the previous transport, not alone.
     """
 
     __slots__ = ("core", "exponent", "tag", "transport", "label", "_twist")
 
-    def __init__(self, twist: Braid, exponent: int, tag: str,
+    def __init__(self, core: Braid, exponent: int, tag: str,
                  transport: Braid | None = None, label: str = ""):
         _check_tag(exponent, tag)
         if transport is None:
-            transport = Braid(twist.n)
-        self.core = twist.conjugate(transport.inverse()) if transport.word else twist
+            transport = Braid(core.n)
+        elif transport.n != core.n:
+            raise ValueError(f"transport on {transport.n} strands for a core "
+                             f"on {core.n}")
+        self.core = core
         self.exponent = exponent
         self.tag = tag
         self.transport = transport
         self.label = label
-        self._twist = twist
-
-    @classmethod
-    def _of(cls, core: Braid, exponent: int, tag: str, transport: Braid,
-            label: str = "") -> "Factor":
-        """A factor from its core and transport, exponent and tag known to agree."""
-        f = object.__new__(cls)
-        f.core = core
-        f.exponent = exponent
-        f.tag = tag
-        f.transport = transport
-        f.label = label
-        f._twist = None
-        return f
+        self._twist = None
 
     @property
     def n(self) -> int:
@@ -121,8 +110,8 @@ class Factor:
 
     def conjugate(self, g: Braid) -> "Factor":
         """g^-1 . self . g: the same core, transported by t . g."""
-        return Factor._of(self.core, self.exponent, self.tag,
-                          self.transport * g, self.label)
+        return Factor(self.core, self.exponent, self.tag,
+                      self.transport * g, self.label)
 
     def __eq__(self, other):
         """Equal exponents and tags, and equal twists: word-identical cores
@@ -152,46 +141,34 @@ class Factor:
         return out
 
     @classmethod
-    def from_json(cls, n: int, obj: dict, prev: Braid | None = None) -> "Factor":
+    def from_json(cls, n: int, obj: dict, prev: Braid) -> "Factor":
         """The factor of a certificate entry.
 
-        In format 2, `prev` is the previous factor's transport (empty for the
-        first factor), and the transport is the entry's `head` followed by
-        the last `keep` letters of prev, cancelled at the join.  Without
-        `prev` the entry is of an older format, its transport written in
-        full.
+        `prev` is the previous factor's transport (empty for the first
+        factor), and the transport is the entry's `head` followed by the
+        last `keep` letters of prev, cancelled at the join.
         """
+        if not isinstance(obj, dict):
+            raise ValueError(f"must be a JSON object, got {type(obj).__name__}")
         if type(obj["exp"]) is not int:
             raise ValueError(f"exponent must be an integer, got {obj['exp']!r}")
         for field in ("core", "twist", "transport", "head", "tag", "label"):
             if not isinstance(obj.get(field, ""), str):
                 raise ValueError(f"{field} must be a string, got {obj[field]!r}")
-        label = obj.get("label", "")
-        if prev is None:
-            if "head" in obj or "keep" in obj:
-                raise ValueError("head and keep need a format 2 certificate")
-            if ("core" in obj) == ("twist" in obj):
-                raise ValueError("a factor needs exactly one of core and twist")
-            transport = from_text(n, obj.get("transport", ""))
-            if "twist" in obj:
-                return cls(from_text(n, obj["twist"]), obj["exp"], obj["tag"],
-                           transport=transport, label=label)
-        else:
-            for field in ("twist", "transport"):
-                if field in obj:
-                    raise ValueError(f"a format 2 factor has no {field}")
-            keep, pw = obj.get("keep", 0), prev.word
-            if type(keep) is not int or not 0 <= keep <= len(pw):
-                raise ValueError(f"keep must be an integer from 0 to {len(pw)}, "
-                                 f"the previous transport's length, got {keep!r}")
-            transport = from_text(n, obj.get("head", ""))
-            if keep == len(pw) and not transport.word:
-                transport = prev
-            elif keep:
-                transport = transport * Braid._reduced(n, pw[len(pw) - keep:])
-        _check_tag(obj["exp"], obj["tag"])
-        return cls._of(from_text(n, obj["core"]), obj["exp"], obj["tag"],
-                       transport, label)
+        for field in ("twist", "transport"):
+            if field in obj:
+                raise ValueError(f"a format 2 factor has no {field}")
+        keep, pw = obj.get("keep", 0), prev.word
+        if type(keep) is not int or not 0 <= keep <= len(pw):
+            raise ValueError(f"keep must be an integer from 0 to {len(pw)}, "
+                             f"the previous transport's length, got {keep!r}")
+        transport = from_text(n, obj.get("head", ""))
+        if keep == len(pw) and not transport.word:
+            transport = prev
+        elif keep:
+            transport = transport * Braid._reduced(n, pw[len(pw) - keep:])
+        return cls(from_text(n, obj["core"]), obj["exp"], obj["tag"],
+                   transport, obj.get("label", ""))
 
 
 def _where(i: int, f: Factor) -> str:
@@ -210,8 +187,8 @@ def _vertex_split(f: Factor, i: int) -> list:
             or core != block_half_twist(f.n, a0, a0 + 5) ** 2):
         raise ValueError(f"{_where(i, f)}: vertex factor core is not a "
                          "six-strand block twist")
-    return [Factor._of(artin_gen(f.n, k), 1, "branch", f.transport,
-                       f"{f.label}|H{k - a0 + 1}")
+    return [Factor(artin_gen(f.n, k), 1, "branch", f.transport,
+                   f"{f.label}|H{k - a0 + 1}")
             for _round in range(6) for k in range(a0, a0 + 5)]
 
 
@@ -287,9 +264,8 @@ class Factorization:
     only its transport's head and the length of the suffix it keeps
     (`Factor.to_json`), so `loads` parses only the heads and a transport
     equal to the previous one is the same braid.  Deleting or reordering
-    entries therefore changes the transports after them.  A certificate
-    without "format" is of an older format and loads through the full
-    parser.
+    entries therefore changes the transports after them.  Format 2 is the
+    only format that loads.
     """
 
     __slots__ = ("strands", "factors")
@@ -369,13 +345,20 @@ class Factorization:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Factorization":
+        if not isinstance(obj, dict):
+            raise ValueError("a certificate must be a JSON object, got "
+                             + type(obj).__name__)
+        if "format" not in obj:
+            raise ValueError("missing field 'format': only format 2 "
+                             "certificates load")
+        if type(obj["format"]) is not int or obj["format"] != 2:
+            raise ValueError(f"unknown certificate format {obj['format']!r}")
         n = obj["strands"]
         if type(n) is not int or n < 2:
             raise ValueError(f"strand count must be an integer >= 2, got {n!r}")
-        if "format" not in obj:
-            return cls(n, [Factor.from_json(n, f) for f in obj["factors"]])
-        if type(obj["format"]) is not int or obj["format"] != 2:
-            raise ValueError(f"unknown certificate format {obj['format']!r}")
+        if not isinstance(obj["factors"], list):
+            raise ValueError("factors must be a list, got "
+                             + type(obj["factors"]).__name__)
         factors, t = [], Braid(n)
         for i, f in enumerate(obj["factors"], 1):
             try:
@@ -429,8 +412,8 @@ def conj_factorization(f: Factorization) -> Factorization:
         # reversal and negation keep a word freely reduced
         core = Braid._reduced(n, fac.core.word[::-1])
         tr = Braid._reduced(n, tuple(map(neg, fac.transport.word)))
-        out.append(Factor._of(core, fac.exponent, fac.tag, tr,
-                              f"~{fac.label}" if fac.label else ""))
+        out.append(Factor(core, fac.exponent, fac.tag, tr,
+                          f"~{fac.label}" if fac.label else ""))
     return Factorization._of(n, tuple(out))
 
 

@@ -530,11 +530,15 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
     The pair twists Z^2_{tt'} = sigma_{2t-1}^2 of the three lines assigned
     to each vertex close the certificate, in the order the composites were
     met, as cable(Delta^2_n) . prod Z^2_{tt'} = Delta^2_2n (`conic_identity`
-    checks it locally).  A ValueError names a composite without a vertex
-    label, a vertex's second composite, and the vertices without one.
+    checks it locally).  A ValueError names a factorization on another
+    number of strands than g has lines, a composite without a vertex label,
+    a vertex's second composite, and the vertices without one.
     """
     n = g.n_lines
     fz = phi8(g) if fz is None else fz
+    if fz.strands != n:
+        raise ValueError(f"a factorization on {fz.strands} strands, but the "
+                         f"arrangement has {n} lines")
     lines_of = _branch_assignment(g)
     out, pairs, seen = [], [], {}
     # cable(t) of each transport t: the cable of its head, then the part of
@@ -547,7 +551,7 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
             ct = Braid._reduced(2 * n, tuple(cable_word(n, w[:len(w) - k]))
                                 + cw[len(cw) - 4 * k:])
         if f.tag != COMPOSITE_TAG:
-            out.append(Factor._of(cable(f.core), f.exponent, f.tag, ct, f.label))
+            out.append(Factor(cable(f.core), f.exponent, f.tag, ct, f.label))
             continue
         m = _LABEL.match(f.label)
         j = int(m[2]) if m and m[1] == "V" else None
@@ -556,10 +560,10 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
                 f"second composite of vertex {j}, after {seen[j]}"
                 if j in seen else "composite without a vertex label"))
         seen[j] = _where(i, f)
-        out.extend(Factor._of(cable(h.core), 1, "branch", ct, h.label)
+        out.extend(Factor(cable(h.core), 1, "branch", ct, h.label)
                    for h in _vertex_split(f, i))
-        pairs.extend(Factor._of(artin_gen(2 * n, 2 * t - 1), 2, "node",
-                                Braid(2 * n), f"V{j}:Z2[{t},{t}']")
+        pairs.extend(Factor(artin_gen(2 * n, 2 * t - 1), 2, "node",
+                            Braid(2 * n), f"V{j}:Z2[{t},{t}']")
                      for t in lines_of[j])
     missing = [j for j in g.vertices if j not in seen]
     if missing:

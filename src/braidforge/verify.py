@@ -1,6 +1,5 @@
 """Certification toolkit: product checks, Hurwitz-equivalence search,
-invariance checks, factor census, degree audit by label, and van Kampen
-relation templates.
+factor census, degree audit by label, and van Kampen relation templates.
 """
 
 from __future__ import annotations
@@ -9,7 +8,7 @@ import re
 import time
 from collections import deque
 
-from .braid import Braid, delta_squared, to_text
+from .braid import delta_squared, to_text
 from .factorization import (COMPOSITE_TAG, Factor, Factorization, _vertex_split,
                             _where)
 
@@ -140,30 +139,6 @@ def hurwitz_equivalent(f: Factorization, g: Factorization,
             seen.add(nxt)
             frontier.append(nxt)
     return "no"
-
-
-def check_invariance(f: Factorization, eps: Braid,
-                     budget: int = 10 ** 5) -> VerificationReport:
-    """Invariance of a factorized expression under conjugation by eps.
-
-    Product level is always decided; factorization level (Hurwitz
-    equivalence of f and f^eps) is certified for small instances and
-    reported as skipped/inconclusive beyond the budget.
-    """
-    rep = VerificationReport()
-    fe = f.conjugate(eps)
-    same = fe.product() == f.product()
-    rep.add("product-level invariance", same,
-            "" if same else "conjugated product differs from original")
-    if f.strands <= 6 and len(f) <= 6:
-        verdict = hurwitz_equivalent(f, fe, budget)
-        rep.add("factorization-level invariance", verdict == "yes",
-                "" if verdict == "yes" else f"BFS verdict: {verdict}",
-                skipped=(verdict == "inconclusive"))
-    else:
-        rep.add("factorization-level invariance", True,
-                f"not attempted at B_{f.strands} scale", skipped=True)
-    return rep
 
 
 def artin_census(f: Factorization) -> dict:

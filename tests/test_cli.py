@@ -96,6 +96,15 @@ def test_regen_rejects_mismatched_input(tmp_path, capsys):
     assert main(["regen", "run", "--in", str(path)]) == 1
 
 
+def test_regen_names_a_strand_count_other_than_the_lines(tmp_path, capsys):
+    path = tmp_path / "frame3.json"
+    path.write_text(frame_factorization(3).dumps())
+    assert main(["regen", "run", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "forge regen: a factorization on 3 strands, but the arrangement has "
+        "27 lines\n")
+
+
 def _phi8_with(tmp_path, i, factor):
     """The engine's phi8 certificate with factor i replaced."""
     factors = list(phi8(build_tt()).factors)
@@ -108,9 +117,9 @@ def _phi8_with(tmp_path, i, factor):
 
 def test_regen_accepts_another_word_for_the_same_braid(tmp_path):
     f = phi8(build_tt()).factors[28]
-    # append the relator s1 s2 s1 (s2 s1 s2)^-1 to the twist word
-    twist = Braid(27, f.twist.word + (1, 2, 1, -2, -1, -2))
-    _, path = _phi8_with(tmp_path, 28, Factor(twist, f.exponent, f.tag,
+    # append the relator s1 s2 s1 (s2 s1 s2)^-1 to the core word
+    core = Braid(27, f.core.word + (1, 2, 1, -2, -1, -2))
+    _, path = _phi8_with(tmp_path, 28, Factor(core, f.exponent, f.tag,
                                               f.transport, f.label))
     loaded = Factorization.loads(path.read_text()).factors[28]
     assert loaded.twist.word != f.twist.word and loaded == f
@@ -150,7 +159,7 @@ def test_regen_names_a_relabelled_composite(tmp_path, capsys):
     i = next(k for k, f in enumerate(fz) if f.label.startswith("V3:"))
     f = fz.factors[i]
     label = "V4:" + f.label[3:]
-    _, path = _phi8_with(tmp_path, i, Factor(f.twist, f.exponent, f.tag,
+    _, path = _phi8_with(tmp_path, i, Factor(f.core, f.exponent, f.tag,
                                              f.transport, label))
     assert main(["regen", "run", "--in", str(path)]) == 1
     err = capsys.readouterr().err
@@ -192,64 +201,114 @@ def test_module_entry_point(tmp_path):
     assert "[pass" in proc.stdout
 
 
-@pytest.mark.parametrize("payload", [
-    {"strands": 3},
-    {"strands": 3, "factors": [{"exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"twist": "s1", "tag": "branch"}]},
-    {"strands": 3, "factors": [{"twist": "s1", "exp": 1}]},
-    {"strands": 3, "factors": [{"twist": "s1 x2", "exp": 1, "tag": "branch"}]},
-    {"strands": 3.0, "factors": [{"twist": "s1", "exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"twist": "s1", "exp": 1.5, "tag": "composite"}]},
-    [1, 2, 3],
-    {"strands": 3, "factors": [{"twist": "s", "exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"twist": "S", "exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"twist": "x1", "exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"twist": 5, "exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": "branch",
-                                "transport": 5}]},
-    {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": ["branch"]}]},
-    {"strands": 3, "factors": [{"twist": "s1", "exp": 1, "tag": "branch",
-                                "label": 7}]},
-    {"strands": 3, "factors": [{"core": 5, "exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"core": "s1", "twist": "s1", "exp": 1,
-                                "tag": "branch"}]},
-    {"strands": 3, "factors": [{"exp": 1, "tag": "branch", "transport": "s2"}]},
-    {"strands": 3, "factors": [{"core": "s1 x2", "exp": 1, "tag": "branch"}]},
-    {"strands": 3, "factors": [{"core": "s1", "exp": 2, "tag": "branch"}]},
-    {"strands": 3, "factors": [
-        {"core": "s1", "exp": 1, "tag": "branch", "transport": "s2 s1"},
-        {"core": "s1", "exp": 1, "tag": "branch", "transport": "x2 s1"}]},
-    {"strands": 3, "factors": [
-        {"core": "s1", "exp": 1, "tag": "branch", "transport": "s2 s1"},
-        {"core": "s1", "exp": 1, "tag": "branch", "transport": "s3 s1"}]},
-    {"strands": 0, "factors": []},
-    {"strands": 1, "factors": []},
-    {"strands": -2, "factors": []},
-    *({"format": 2, "strands": 3, "factors": [
-        {"core": "s1", "exp": 1, "tag": "branch", "head": "s2 s1"},
-        {"core": "s1", "exp": 1, "tag": "branch", **bad}]}
-      for bad in ({"keep": "1"}, {"keep": True}, {"keep": -1}, {"keep": 3},
-                  {"transport": "s2 s1"}, {"head": 5}, {"head": "s2 x1"})),
-    {"format": 3, "strands": 3, "factors": []},
-    {"strands": 3, "factors": [{"core": "s1", "exp": 1, "tag": "branch",
-                                "keep": 1}]},
+def _entry(**fields):
+    """A format-2 certificate entry: s1 as a branch factor, with `fields`
+    added or replaced."""
+    return {"core": "s1", "exp": 1, "tag": "branch", **fields}
+
+
+def _keep_error(top, got):
+    return (f"factor 2: keep must be an integer from 0 to {top}, the previous "
+            f"transport's length, got {got}")
+
+
+# (certificate, the one message it is refused with): each reaches the check
+# it was written for, and none passes for a reason of its own
+_MALFORMED = [
+    ({"format": 2, "strands": 3}, "missing field 'factors'"),
+    ({"format": 2, "strands": 3, "factors": [{"exp": 1, "tag": "branch"}]},
+     "factor 1: missing field 'core'"),
+    ({"format": 2, "strands": 3, "factors": [{"core": "s1", "tag": "branch"}]},
+     "factor 1: missing field 'exp'"),
+    ({"format": 2, "strands": 3, "factors": [{"core": "s1", "exp": 1}]},
+     "factor 1: missing field 'tag'"),
+    ({"format": 2, "strands": 3, "factors": [_entry(core="s1 s3")]},
+     "factor 1: letter 3 out of range for B_3"),
+    ({"format": 2, "strands": 3.0, "factors": [_entry()]},
+     "strand count must be an integer >= 2, got 3.0"),
+    ({"format": 2, "strands": 3, "factors": [_entry(exp=1.5, tag="composite")]},
+     "factor 1: exponent must be an integer, got 1.5"),
+    ([1, 2, 3], "a certificate must be a JSON object, got list"),
+    ({"format": 2, "strands": 3, "factors": [_entry(core="s")]},
+     "factor 1: bad braid token 's'"),
+    ({"format": 2, "strands": 3, "factors": [_entry(core="S")]},
+     "factor 1: bad braid token 'S'"),
+    ({"format": 2, "strands": 3, "factors": [_entry(core="x1")]},
+     "factor 1: bad braid token 'x1'"),
+    ({"format": 2, "strands": 3, "factors": [
+        {"twist": "s1", "exp": 1, "tag": "branch"}]},
+     "factor 1: a format 2 factor has no twist"),
+    ({"format": 2, "strands": 3, "factors": [_entry(transport=5)]},
+     "factor 1: transport must be a string, got 5"),
+    ({"format": 2, "strands": 3, "factors": [_entry(tag=["branch"])]},
+     "factor 1: tag must be a string, got ['branch']"),
+    ({"format": 2, "strands": 3, "factors": [_entry(label=7)]},
+     "factor 1: label must be a string, got 7"),
+    ({"format": 2, "strands": 3, "factors": [_entry(core=5)]},
+     "factor 1: core must be a string, got 5"),
+    ({"format": 2, "strands": 3, "factors": [_entry(twist="s1")]},
+     "factor 1: a format 2 factor has no twist"),
+    ({"format": 2, "strands": 3, "factors": [
+        {"exp": 1, "tag": "branch", "transport": "s2"}]},
+     "factor 1: a format 2 factor has no transport"),
+    ({"format": 2, "strands": 3, "factors": [_entry(head="s1 x2")]},
+     "factor 1: bad braid token 'x2'"),
+    ({"format": 2, "strands": 3, "factors": [_entry(exp=2)]},
+     "factor 1: tag 'branch' requires exponent 1, got 2"),
+    ({"format": 2, "strands": 3, "factors": [_entry(head="s2 s1"),
+                                             _entry(head="x2 s1")]},
+     "factor 2: bad braid token 'x2'"),
+    ({"format": 2, "strands": 3, "factors": [_entry(head="s2 s1"),
+                                             _entry(head="s3 s1")]},
+     "factor 2: letter 3 out of range for B_3"),
+    ({"format": 2, "strands": 0, "factors": []},
+     "strand count must be an integer >= 2, got 0"),
+    ({"format": 2, "strands": 1, "factors": []},
+     "strand count must be an integer >= 2, got 1"),
+    ({"format": 2, "strands": -2, "factors": []},
+     "strand count must be an integer >= 2, got -2"),
+    *(({"format": 2, "strands": 3, "factors": [_entry(head="s2 s1"),
+                                               _entry(**bad)]}, message)
+      for bad, message in (
+          ({"keep": "1"}, _keep_error(2, "'1'")),
+          ({"keep": True}, _keep_error(2, "True")),
+          ({"keep": -1}, _keep_error(2, "-1")),
+          ({"keep": 3}, _keep_error(2, "3")),
+          ({"transport": "s2 s1"}, "factor 2: a format 2 factor has no transport"),
+          ({"head": 5}, "factor 2: head must be a string, got 5"),
+          ({"head": "s2 x1"}, "factor 2: bad braid token 'x1'"))),
+    ({"format": 3, "strands": 3, "factors": []}, "unknown certificate format 3"),
+    ({"format": 2, "strands": 3, "factors": [_entry(keep=1)]},
+     "factor 1: keep must be an integer from 0 to 0, the previous "
+     "transport's length, got 1"),
     # a degree-0 composite to the power 10^8 and six frame letters: degree
     # 6 = n(n-1), so the product check would build a word of 4*10^8 letters
-    {"format": 2, "strands": 3, "factors": [
+    ({"format": 2, "strands": 3, "factors": [
         {"core": "s1 s2 S1 S2", "exp": 10 ** 8, "tag": "composite"},
         *({"core": f"s{k}", "exp": 1, "tag": "branch"}
           for _ in range(3) for k in (1, 2))]},
-])
+     "factor 1: tag 'composite' requires exponent 1 or 2, got 100000000"),
+    # a well-formed certificate of the retired formats, without "format"
+    ({"strands": 3, "factors": [_entry(transport="s2")]},
+     "missing field 'format': only format 2 certificates load"),
+    ({"format": 2, "strands": 3, "factors": "abc"},
+     "factors must be a list, got str"),
+    ({"format": 2, "strands": 3, "factors": [5]},
+     "factor 1: must be a JSON object, got int"),
+    ({"format": 2, "factors": []}, "missing field 'strands'"),
+]
+
+
+@pytest.mark.parametrize("payload, message", _MALFORMED,
+                         ids=[f"payload{i}" for i in range(len(_MALFORMED))])
 @pytest.mark.parametrize("command", [["verify"], ["relations"],
                                      ["regen", "run", "--in"]])
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload,
-                                                command):
+                                                message, command):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert main(command + [str(path)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert str(path) in err
+    assert capsys.readouterr().err == f"forge {command[0]}: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("exp", [0, -1, 3, 10 ** 8])

@@ -11,7 +11,7 @@ from braidforge.degeneration import (_build_phi8, _events, _marker_text,
                                      _paper_order, _pair_notation,
                                      _realization, build_tt,
                                      check_pair_partition, degree_audit,
-                                     dt_notation, markers, parasitic_Dt, phi8,
+                                     dt_notation, markers, phi8,
                                      tilde_Cj, tilde_Delta2)
 from braidforge.factorization import COMPOSITE_TAG, Factor, _Product
 
@@ -52,9 +52,9 @@ def test_product_is_the_full_twist(phi8_fz):
     assert time.monotonic() - t0 < 120
 
 
-def test_parasitic_factors_are_nodes(graph):
+def test_parasitic_factors_are_nodes(graph, phi8_fz):
     for t in range(1, 28):
-        dt = parasitic_Dt(graph, t)
+        dt = [f for f in phi8_fz if f.label.startswith(f"D{t}:")]
         expected = [p for p in range(1, t) if graph.disjoint(p, t)]
         assert len(dt) == len(expected)
         for f in dt:

@@ -24,6 +24,8 @@ def test_tag_exponent_contract():
         Factor(artin_gen(3, 1), 3, "node")
     with pytest.raises(ValueError):
         Factor(artin_gen(3, 1), 1, "mystery")
+    with pytest.raises(ValueError, match="^transport on 5 strands for a core on 3$"):
+        Factor(artin_gen(3, 1), 1, "branch", Braid(5, [4]))
     f = Factor(artin_gen(3, 1), 2, "node")
     assert f.degree == 2 and f.braid() == artin_gen(3, 1) ** 2
 
@@ -118,47 +120,44 @@ def test_concatenation():
         a + frame_factorization(4)
 
 
-@pytest.mark.parametrize("field", ["twist", "transport", "tag", "label", "core"])
+@pytest.mark.parametrize("field", ["twist", "transport", "tag", "label",
+                                   "core", "head"])
 def test_from_json_names_a_field_that_is_no_string(field):
-    obj = {"twist": "s1", "exp": 1, "tag": "branch", field: 7}
+    obj = {"core": "s1", "exp": 1, "tag": "branch", field: 7}
     with pytest.raises(ValueError, match=f"^{field} must be a string, got 7$"):
-        Factor.from_json(3, obj)
-
-
-@pytest.mark.parametrize("obj", [
-    {"core": "s1", "twist": "s1", "exp": 1, "tag": "branch"},
-    {"exp": 1, "tag": "branch", "transport": "s2"},
-])
-def test_from_json_needs_exactly_one_of_core_and_twist(obj):
-    with pytest.raises(ValueError, match="^a factor needs exactly one of core and twist$"):
-        Factor.from_json(3, obj)
+        Factor.from_json(3, obj, Braid(3))
 
 
 def test_from_json_checks_the_tag_of_a_core():
     with pytest.raises(ValueError, match="requires exponent 1"):
-        Factor.from_json(3, {"core": "s1", "exp": 2, "tag": "branch"})
+        Factor.from_json(3, {"core": "s1", "exp": 2, "tag": "branch"}, Braid(3))
 
 
-def test_of_derives_the_twist(rng):
+def test_constructor_derives_the_twist(rng):
     for n in (2, 3, 5):
         c, t = random_braid(rng, n), random_braid(rng, n, 9)
-        f = Factor._of(c, 1, "composite", t)
+        f = Factor(c, 1, "composite", t)
         assert f.twist == t.inverse() * c * t
         assert f.twist.word == tuple(free_reduce(t.inverse().word + c.word + t.word))
         assert f.degree == c.degree and f.braid() == f.twist
     g = random_braid(rng, 4)
-    f = Factor._of(artin_gen(4, 2), 2, "node", g)
+    f = Factor(artin_gen(4, 2), 2, "node", g)
     assert f.twist == artin_gen(4, 2).conjugate(g) and f.is_half_twist()
     assert f.braid().word == (f.twist ** 2).word
 
 
 def test_constructor_keeps_its_meaning(rng):
-    """Factor(twist, ..., transport) stores core = t . twist . t^-1."""
+    """Factor(core, ..., transport) stores the core and transport as given;
+    without a transport the core is the twist, so a caller that passes a
+    twist alone gets the factor of that twist."""
     t = random_braid(rng, 4, 8)
-    twist = artin_gen(4, 3).conjugate(t)
-    f = Factor(twist, 3, "cusp", t)
-    assert f.core == artin_gen(4, 3) and f.core.word == (3,)
-    assert f.twist is twist and f.transport is t and f.is_half_twist()
+    core = artin_gen(4, 3)
+    f = Factor(core, 3, "cusp", t)
+    assert f.core is core and f.transport is t and f.is_half_twist()
+    twist = core.conjugate(t)
+    g = Factor(twist, 3, "cusp")
+    assert g.core is twist and g.transport.word == () and g.twist == twist
+    assert f == g and f.braid() == g.braid() == twist ** 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,29 +190,26 @@ def test_half_twist_counts(phi8_fz, regen_fz):
 
 
 def _twist_format(fz: Factorization) -> str:
-    """fz as a certificate of the older format, each twist written out."""
+    """fz as a certificate that writes each factor's twist out as its core,
+    with no transport."""
     factors = []
     for f in fz:
-        obj = {"twist": f.twist.to_text(), "exp": f.exponent, "tag": f.tag}
+        obj = {"core": f.twist.to_text(), "exp": f.exponent, "tag": f.tag}
         if f.label:
             obj["label"] = f.label
-        if f.transport.word:
-            obj["transport"] = f.transport.to_text()
         factors.append(obj)
-    return json.dumps({"strands": fz.strands, "factors": factors})
+    return json.dumps({"format": 2, "strands": fz.strands, "factors": factors})
 
 
 @pytest.mark.parametrize("name", ["phi8_fz", "regen_fz"])
 def test_twist_format_certificate_loads(request, name):
-    text = request.getfixturevalue(name).dumps()
-    fz = Factorization.loads(text)
+    fz = request.getfixturevalue(name)
     back = Factorization.loads(_twist_format(fz))
     assert back.strands == fz.strands and len(back) == len(fz)
     for a, b in zip(back, fz):
-        assert a.twist == b.twist and a.transport == b.transport
+        assert a.twist.word == b.twist.word and not a.transport.word
         assert (a.exponent, a.tag, a.label) == (b.exponent, b.tag, b.label)
-    assert back.dumps() == text
-    assert '"twist"' not in text and '"core"' in text
+    assert back == fz and back.word() == fz.word()
 
 
 def test_regenerated_certificate_is_small(graph):
@@ -245,8 +241,8 @@ def test_loads_of_one_certificate_compare_equal_without_twists(regen_fz):
 def test_equal_twists_with_other_transports_compare_equal(rng):
     for k in (1, 2, 3):
         t = random_braid(rng, 4, 8)
-        f = Factor._of(artin_gen(4, k), 2, "node", t)
-        g = Factor._of(artin_gen(4, k), 2, "node", artin_gen(4, k) * t)
+        f = Factor(artin_gen(4, k), 2, "node", t)
+        g = Factor(artin_gen(4, k), 2, "node", artin_gen(4, k) * t)
         assert f.transport.word != g.transport.word
         assert f == g and f.twist == g.twist
 
@@ -261,8 +257,10 @@ def test_a_conjugate_that_moves_the_twist_compares_unequal(phi8_fz):
 
 
 def _payload(n, transports):
-    return json.dumps({"strands": n, "factors": [
-        {"core": "s1", "exp": 1, "tag": "branch", "transport": t}
+    """A certificate that writes each transport in full, as a head with
+    keep 0."""
+    return json.dumps({"format": 2, "strands": n, "factors": [
+        {"core": "s1", "exp": 1, "tag": "branch", "head": t}
         for t in transports]})
 
 
@@ -295,7 +293,7 @@ def test_loads_raises_what_from_text_raises(n, transports):
         from_text(n, transports[-1])
     with pytest.raises(ValueError) as got:
         Factorization.loads(_payload(n, transports))
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"factor {len(transports)}: {want.value}"
 
 
 def _moved_phi8(fz, seed, moves=10):
@@ -326,16 +324,17 @@ def test_word_of_a_loaded_certificate(request, name):
 
 
 def _dumps_per_factor(fz):
-    """fz as a certificate of format 1, each transport written in full."""
+    """fz with each transport written in full, as format 1 wrote it: a head
+    with keep 0."""
     factors = []
     for f in fz:
         obj = {"core": to_text(f.core.word), "exp": f.exponent, "tag": f.tag}
         if f.label:
             obj["label"] = f.label
         if f.transport.word:
-            obj["transport"] = to_text(f.transport.word)
+            obj["head"] = to_text(f.transport.word)
         factors.append(obj)
-    return json.dumps({"strands": fz.strands, "factors": factors},
+    return json.dumps({"format": 2, "strands": fz.strands, "factors": factors},
                       indent=1, sort_keys=True)
 
 
@@ -455,10 +454,16 @@ def test_a_missing_format_2_field_names_the_factor():
     ({"format": 1, "strands": 3, "factors": []}, "unknown certificate format 1"),
     ({"format": "2", "strands": 3, "factors": []},
      "unknown certificate format '2'"),
-    ({"strands": 1, "factors": []}, "strand count must be an integer >= 2, got 1"),
+    ({"format": 2, "strands": 1, "factors": []},
+     "strand count must be an integer >= 2, got 1"),
     ({"strands": 3, "factors": [{"core": "s1", "exp": 1, "tag": "branch",
                                  "head": "s2"}]},
-     "head and keep need a format 2 certificate"),
+     "missing field 'format': only format 2 certificates load"),
+    ([1, 2, 3], "a certificate must be a JSON object, got list"),
+    ({"format": 2, "strands": 3, "factors": "abc"},
+     "factors must be a list, got str"),
+    ({"format": 2, "strands": 3, "factors": [5]},
+     "factor 1: must be a JSON object, got int"),
 ])
 def test_certificate_level_errors(obj, message):
     with pytest.raises(ValueError) as e:

@@ -447,17 +447,16 @@ def _transported_regeneration(graph, h):
     for i, f in enumerate(h, 1):
         ct = cable(f.transport)
         if f.tag != "composite":
-            out.append(Factor._of(cable(f.core), f.exponent, f.tag, ct,
-                                  f.label))
+            out.append(Factor(cable(f.core), f.exponent, f.tag, ct, f.label))
             continue
-        out.extend(Factor._of(cable(artin_gen(27, k)), 1, "branch", ct,
-                              f"{f.label}|H{k - a + 1}")
+        out.extend(Factor(cable(artin_gen(27, k)), 1, "branch", ct,
+                          f"{f.label}|H{k - a + 1}")
                    for a in [min(map(abs, f.core.word))]
                    for _round in range(6) for k in range(a, a + 5))
         j = int(re.match(r"~*V(\d+):", f.label)[1])
         cs = cable(Factorization(27, h.factors[i:]).product())
-        out.extend(Factor._of(artin_gen(54, 2 * t - 1), 2, "node",
-                              cs.inverse(), f"V{j}:Z2[{t},{t}']")
+        out.extend(Factor(artin_gen(54, 2 * t - 1), 2, "node",
+                          cs.inverse(), f"V{j}:Z2[{t},{t}']")
                    for t in _branch_assignment(graph)[j])
     return out
 
@@ -500,7 +499,7 @@ def test_regenerate_an_input_with_impure_factors_after_a_composite(graph,
     i = next(i for i, f in enumerate(fs)
              if f.tag == "composite" and fs[i + 1].tag == "node")
     c, node = fs[i], fs[i + 1]
-    x = Factor._of(node.core, 1, "branch", node.transport, node.label)
+    x = Factor(node.core, 1, "branch", node.transport, node.label)
     h = Factorization(27, fs[:i] + (x, c.conjugate(x.braid()), x) + fs[i + 2:])
     assert check_full_twist(h).passed
     fz = regenerate(graph, h)
@@ -523,7 +522,7 @@ def test_regenerate_an_input_with_impure_factors_after_a_composite(graph,
 def _relabelled(fz, i, label):
     f = fz.factors[i]
     factors = list(fz.factors)
-    factors[i] = Factor(f.twist, f.exponent, f.tag, f.transport, label)
+    factors[i] = Factor(f.core, f.exponent, f.tag, f.transport, label)
     return Factorization(fz.strands, factors)
 
 
@@ -559,7 +558,7 @@ def test_regenerate_names_a_composite_that_is_no_block_twist(graph, phi8_fz):
     i = _composite(phi8_fz, 6)
     f = phi8_fz[i]
     bad = Factorization(27, phi8_fz.factors[:i] + (
-        Factor(f.twist * artin_gen(27, 1), 1, f.tag, f.transport, f.label),)
+        Factor(f.core * artin_gen(27, 1), 1, f.tag, f.transport, f.label),)
         + phi8_fz.factors[i + 1:])
     with pytest.raises(ValueError, match=rf"^factor {i + 1} 'V6:.*': vertex "
                        "factor core is not a six-strand block twist$"):

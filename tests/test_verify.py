@@ -9,8 +9,8 @@ from braidforge.braid import Braid, artin_gen, delta_squared
 from braidforge.factorization import (Factor, Factorization,
                                       frame_factorization, hurwitz_move)
 from braidforge.verify import (VerificationReport, artin_census,
-                               check_full_twist, check_invariance,
-                               emit_relations, hurwitz_equivalent)
+                               check_full_twist, emit_relations,
+                               hurwitz_equivalent)
 
 
 def test_expect_names_the_wanted_value_and_what_came():
@@ -94,18 +94,6 @@ def test_hurwitz_equivalent_inconclusive_on_tiny_budget():
     fz = frame_factorization(3)
     moved = hurwitz_move(hurwitz_move(fz, 1, "right"), 2, "right")
     assert hurwitz_equivalent(fz, moved, budget=1) == "inconclusive"
-
-
-def test_check_invariance_small():
-    fz = frame_factorization(3)
-    rep = check_invariance(fz, fz.product())
-    assert rep.passed
-
-
-def test_check_invariance_product_failure():
-    a = Factorization(3, [Factor(artin_gen(3, 1), 1, "branch")])
-    rep = check_invariance(a, artin_gen(3, 2))
-    assert not rep.passed
 
 
 def test_artin_census(phi8_fz):
