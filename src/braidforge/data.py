@@ -1,37 +1,18 @@
-"""Golden-data loading with an environment override.
-
-Golden files ship inside the package under goldens/.  Setting
-FORGE_GOLDENS_DIR points the loaders at an external directory with the same
-layout instead (useful for experimenting with alternative transcriptions).
-"""
+"""The golden data, packaged under braidforge/goldens/."""
 
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 
-ENV_VAR = "FORGE_GOLDENS_DIR"
-
-
-def golden_text(relpath: str) -> str:
-    base = os.environ.get(ENV_VAR)
-    if base:
-        with open(os.path.join(base, relpath), encoding="utf-8") as fh:
-            return fh.read()
-    return resources.files("braidforge").joinpath(f"goldens/{relpath}").read_text()
+_GOLDENS = resources.files("braidforge") / "goldens"
 
 
 def golden_json(relpath: str):
-    return json.loads(golden_text(relpath))
+    return json.loads((_GOLDENS / relpath).read_text(encoding="utf-8"))
 
 
 def golden_names(subdir: str) -> list:
     """Sorted stem names of the golden JSON files in a goldens/ subdirectory."""
-    base = os.environ.get(ENV_VAR)
-    if base:
-        names = os.listdir(os.path.join(base, subdir))
-    else:
-        root = resources.files("braidforge").joinpath(f"goldens/{subdir}")
-        names = [p.name for p in root.iterdir()]
-    return sorted(n[:-5] for n in names if n.endswith(".json"))
+    return sorted(p.name[:-5] for p in (_GOLDENS / subdir).iterdir()
+                  if p.name.endswith(".json"))

@@ -42,7 +42,7 @@ class Factor:
     for a half-twist (checked by `is_half_twist`), the four-letter ribbon
     crossing for a cabled factor and a block full twist for a vertex
     composite (exponent 1, tag "composite").  The `twist` t^-1 . core . t is
-    derived on first read and cached; the hot paths never build it.
+    derived on each read; the hot paths never build it.
 
     The constructor checks that the tag admits the exponent and that core
     and transport lie in one braid group, and stores them as given; without
@@ -58,7 +58,7 @@ class Factor:
     is read against the previous transport, not alone.
     """
 
-    __slots__ = ("core", "exponent", "tag", "transport", "label", "_twist")
+    __slots__ = ("core", "exponent", "tag", "transport", "label")
 
     def __init__(self, core: Braid, exponent: int, tag: str,
                  transport: Braid | None = None, label: str = ""):
@@ -73,7 +73,6 @@ class Factor:
         self.tag = tag
         self.transport = transport
         self.label = label
-        self._twist = None
 
     @property
     def n(self) -> int:
@@ -81,15 +80,11 @@ class Factor:
 
     @property
     def twist(self) -> Braid:
-        """transport^-1 . core . transport, built on first read."""
-        if self._twist is None:
-            self._twist = self.core.conjugate(self.transport)
-        return self._twist
+        """transport^-1 . core . transport, derived on each read."""
+        return self.core.conjugate(self.transport)
 
     def braid(self) -> Braid:
-        """twist^exponent: a cached twist is reused, else t^-1, core^e and t."""
-        if self._twist is not None:
-            return self._twist ** self.exponent
+        """twist^exponent, as t^-1, core^exponent and t."""
         p = _Product(self.n)
         p.push(self)
         return p.braid()

@@ -319,7 +319,8 @@ def regen_rule3(f: Factor, dm: DoublingMap) -> Factorization:
 # the printed Z/D notation (regenerated lists and local monodromy tables)
 #
 # Atom:   Z | Zu (below) | Zb (above), optional m (negative), exponent digit,
-#         [END,END] with END = "3" | "3'" | "33'" (close pair);
+#         [END,END] with END = "3" | "3'" | "33'" (close pair); an END that
+#         names a puncture is that puncture ("11'" among 11 doubled lines);
 #         or D<digit><a,b,c,...>, the composite twist of the named punctures.
 # Factor: ATOM or ATOM^{TOK TOK ...}; TOK is an atom, "rho" or "rho-".
 
@@ -327,22 +328,23 @@ _RATOM = re.compile(r"Z(u|b)?(m)?(\d)\[([^,\]]+),([^,\]]+)\]$")
 _DATOM = re.compile(r"D(\d)<([^>]+)>$")
 
 
-def _parse_end(tok: str):
+def _parse_end(cfg: PunctureConfig, tok: str):
     tok = tok.strip()
-    m = re.fullmatch(r"(.+)\1'", tok)
-    if m:
-        return (m.group(1), f"{m.group(1)}'")
+    if tok not in cfg.punctures:
+        m = re.fullmatch(r"(.+)\1'", tok)
+        if m:
+            return (m.group(1), f"{m.group(1)}'")
     return tok
 
 
-def _atom_parts(text: str):
+def _atom_parts(cfg: PunctureConfig, text: str):
     """(side, exponent, end_a, end_b) of a printed Z atom."""
     m = _RATOM.match(text)
     if not m:
         raise ValueError(f"bad printed atom {text!r}")
     side = ABOVE if m.group(1) == "b" else BELOW
     exp = int(m.group(3)) * (-1 if m.group(2) else 1)
-    return side, exp, _parse_end(m.group(4)), _parse_end(m.group(5))
+    return side, exp, _parse_end(cfg, m.group(4)), _parse_end(cfg, m.group(5))
 
 
 def _revprod(cfg_n: int, factors) -> Braid:
@@ -360,7 +362,7 @@ def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
     m = _DATOM.match(text)
     if m:
         return composite_twist(cfg, m.group(2).split(",")) ** int(m.group(1))
-    if _atom_parts(text)[1] < 0:
+    if _atom_parts(cfg, text)[1] < 0:
         # the m follows Z, Zu or Zb, so it is the atom's first m
         return parse_regen_atom(cfg, text.replace("m", "", 1)).inverse()
     return _revprod(cfg.n, atom_factors(cfg, text))
@@ -369,7 +371,7 @@ def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
 def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
     """Expand one printed atom into its factor list (printed order)."""
     text = text.strip()
-    side, exp, ea, eb = _atom_parts(text)
+    side, exp, ea, eb = _atom_parts(cfg, text)
     thin = isinstance(ea, str) and isinstance(eb, str)
     if exp == 1 and thin:
         # a single branch factor; the arc passes the partner of its first end

@@ -8,9 +8,8 @@ import re
 import time
 from collections import deque
 
-from .braid import delta_squared, to_text
-from .factorization import (COMPOSITE_TAG, Factor, Factorization, _vertex_split,
-                            _where)
+from .braid import Braid, delta_squared
+from .factorization import COMPOSITE_TAG, Factorization, _vertex_split, _where
 
 
 class VerificationReport:
@@ -152,8 +151,8 @@ def artin_census(f: Factorization) -> dict:
     return {"by_exponent": by_r, "by_tag": by_tag}
 
 
-def _twist_pair(fac: Factor):
-    moved = fac.twist.moved_slots()
+def _twist_pair(twist: Braid):
+    moved = twist.moved_slots()
     if len(moved) == 2:
         return moved[0] + 1, moved[1] + 1
     return None
@@ -171,11 +170,12 @@ def emit_relations(f: Factorization) -> list:
     for i, factor in enumerate(f.factors, 1):
         for fac in (_vertex_split(factor, i) if factor.tag == COMPOSITE_TAG
                     else [factor]):
-            pair = _twist_pair(fac)
+            twist = fac.twist
+            pair = _twist_pair(twist)
             if pair is None:
                 raise ValueError(f"{_where(i, fac)} is not a half twist")
             a, b = pair
-            w = to_text(fac.twist.word) or "e"
+            w = twist.to_text() or "e"
             A, B = f"(G{a})^[{w}]", f"(G{b})^[{w}]"
             if fac.exponent == 1:
                 rel = f"{A} = {B}"

@@ -3,14 +3,18 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import braidforge
 from braidforge.braid import Braid, artin_gen
 from braidforge.cli import main
+from braidforge.data import golden_names
 from braidforge.degeneration import build_tt, phi8
 from braidforge.factorization import Factor
 from braidforge.factorization import Factorization, frame_factorization
@@ -191,12 +195,49 @@ def test_goldens_replay():
     assert main(["goldens"]) == 0
 
 
+def _golden_runs(capsys):
+    """The table names, and the exit code and output of `goldens` and
+    `table v1_hyperbola`."""
+    out = [golden_names("tables")]
+    for argv in (["goldens"], ["table", "v1_hyperbola"]):
+        code = main(argv)
+        out.append((argv, code, capsys.readouterr()))
+    return out
+
+
+def test_goldens_ignore_the_environment(tmp_path, monkeypatch, capsys):
+    """The goldens are the packaged ones: a FORGE_GOLDENS_DIR naming an
+    empty directory, or a copy whose v1_hyperbola keeps two rows, changes
+    no output and no exit code."""
+    want = _golden_runs(capsys)
+    assert [code for _, code, _ in want[1:]] == [0, 0]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    copy = tmp_path / "copy"
+    shutil.copytree(resources.files("braidforge") / "goldens", copy)
+    table = copy / "tables" / "v1_hyperbola.json"
+    obj = json.loads(table.read_text())
+    obj.update(rows=obj["rows"][:2], expected=obj["expected"][:2], back_rows=[])
+    table.write_text(json.dumps(obj))
+    for base in (empty, copy):
+        monkeypatch.setenv("FORGE_GOLDENS_DIR", str(base))
+        assert _golden_runs(capsys) == want, base.name
+
+
+def _child_env() -> dict:
+    """The environment, with a PYTHONPATH that starts with the directory of
+    the braidforge this test imported, so a child Python imports it too."""
+    src = str(Path(braidforge.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(frame_factorization(2).dumps())
     proc = subprocess.run([sys.executable, "-m", "braidforge.cli",
                            "verify", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "[pass" in proc.stdout
 
@@ -346,8 +387,6 @@ def test_dead_flags_are_gone():
     assert main(["verify", "x.json", "--hurwitz-budget", "5"]) == 2
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 # run in a fresh interpreter: the modules a forge command adds to the ones
 # the interpreter started with, printed as the last line
 _LOADED = """
@@ -360,10 +399,8 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 
 
 def _fresh_run(tmp_path, args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _LOADED, *args], cwd=tmp_path,
-                          env=env, capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code == 0

@@ -11,9 +11,10 @@ from braidforge.degeneration import (_build_phi8, _events, _marker_text,
                                      _paper_order, _pair_notation,
                                      _realization, build_tt,
                                      check_pair_partition, degree_audit,
-                                     dt_notation, markers, phi8,
-                                     tilde_Cj, tilde_Delta2)
+                                     dt_notation, markers, tilde_Cj,
+                                     tilde_Delta2)
 from braidforge.factorization import COMPOSITE_TAG, Factor, _Product
+from braidforge.regeneration import regenerate
 
 
 def test_graph_combinatorics(graph):
@@ -83,8 +84,12 @@ def test_parasitic_notation_matches_transcription(graph):
 
 
 def test_determinism():
+    """Two builds from two graphs write the same certificate; phi8's cache
+    would hand back one object, so the builds bypass it."""
     a, b = build_tt(), build_tt()
-    assert phi8(a).dumps() == phi8(b).dumps()
+    x, y = _build_phi8(a), _build_phi8(b)
+    assert x.dumps() == y.dumps()
+    assert regenerate(a, x).dumps() == regenerate(b, y).dumps()
 
 
 def _fraction_events(g):

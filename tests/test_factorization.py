@@ -220,22 +220,41 @@ def test_regenerated_certificate_writes_transport_heads_only(graph):
     assert len(regenerate(graph).dumps()) < 250_000
 
 
-def test_pipeline_builds_no_twist(phi8_fz, graph):
+def _forbid_twists(monkeypatch):
+    """Make reading any factor's twist raise."""
+    def twist(f):
+        raise AssertionError(f"built the twist of {f.label or 'a factor'}")
+    monkeypatch.setattr(Factor, "twist", property(twist))
+
+
+def test_pipeline_builds_no_twist(phi8_fz, graph, monkeypatch):
     """Loading, regenerating, certifying and writing read cores and
     transports only: no factor's twist is built."""
-    src = Factorization.loads(phi8_fz.dumps())
+    text = phi8_fz.dumps()
+    _forbid_twists(monkeypatch)
+    src = Factorization.loads(text)
     assert check_full_twist(src).passed
     fz = regenerate(graph, src)
     assert check_full_twist(fz).passed
     fz.dumps()
-    assert all(f._twist is None for f in src.factors + fz.factors)
 
 
-def test_loads_of_one_certificate_compare_equal_without_twists(regen_fz):
+def test_loads_of_one_certificate_compare_equal_without_twists(regen_fz,
+                                                              monkeypatch):
     text = regen_fz.dumps()
+    _forbid_twists(monkeypatch)
     a, b = Factorization.loads(text), Factorization.loads(text)
     assert a == b
-    assert all(f._twist is None for f in a.factors + b.factors)
+
+
+def test_a_new_transport_moves_the_twist():
+    """A factor is its fields: reading the twist, then assigning another
+    transport, leaves braid() and the twist to follow the new transport."""
+    f = Factor(artin_gen(3, 1), 1, "branch")
+    assert f.twist == f.braid() == artin_gen(3, 1)
+    f.transport = artin_gen(3, 2)
+    want = artin_gen(3, 1).conjugate(artin_gen(3, 2))
+    assert f.braid().word == f.twist.word == want.word == (-2, 1, 2)
 
 
 def test_equal_twists_with_other_transports_compare_equal(rng):

@@ -338,6 +338,18 @@ def test_atom_value_is_the_product_of_its_expansion():
     assert parse_regen_atom(cfg, "Zb1[1,3]").word == (-4, -3, -2, 1, 2, 3, 4)
 
 
+def test_a_two_digit_primed_label_is_one_puncture():
+    """Among the doubled labels of 11 lines, "11'" names a puncture, not
+    the close pair (1, 1'); "22'" names none and stays a close pair."""
+    cfg = PunctureConfig(doubled_labels(range(1, 12)))
+    fs = atom_factors(cfg, "Z2[11',3]")
+    assert [f.label for f in fs] == ["Z2[11',3]"]
+    assert fs[0].twist == arc_twist(cfg, "11'", "3")
+    assert parse_regen_atom(cfg, "Z2[11',3]") == arc_twist(cfg, "11'", "3") ** 2
+    assert ([f.label for f in atom_factors(cfg, "Z2[22',3]")]
+            == ["Z2[2',3]", "Z2[2,3]"])
+
+
 # ---------------------------------------------------------------------------
 # doubled local models and the global factorization
 
