@@ -65,8 +65,12 @@ def _load(path: str, manifest: RunManifest) -> Factorization:
 
 
 def _write(path: str, text: str, manifest: RunManifest):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write an artifact; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"{path}: {e.strerror}") from None
     manifest.add_output(path, text)
 
 

@@ -22,7 +22,8 @@ turn of the whole disk, and conjugates them by the inverse of the product of
 the designated pair half-twists; the result is appended to the front factors.
 
 Row values are conjugates x^g = g^-1 x g (`Braid.conjugate`); the golden
-replay reads the printed rows with the regeneration module's parser.
+replay compares each row with the value of its printed entry,
+`regeneration.entry_value`, the product of the entry's expansion.
 """
 
 from __future__ import annotations

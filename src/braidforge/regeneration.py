@@ -19,8 +19,9 @@ value of the list [p_1, ..., p_k] is p_k ... p_2 p_1.  All public
 Factorizations returned by this module store their factors in composition
 order (so Factorization.product() is the plain left-to-right product); the
 printed order is the reverse (`_from_printed`).  A printed conjugation
-(A)^{B C} means g.A.g^-1 = A^(g^-1) with g = C.B; the same parser reads the
-local monodromy tables.
+(A)^{B C} means g.A.g^-1 = A^(g^-1) with g = C.B.  The same parser reads the
+local monodromy tables, and a printed entry has one value: the product of
+its expansion by `entry_factors` (`entry_value`).
 
 Arc conventions (frozen; every choice is pinned by the exact splitting
 identities Z^2_{ii',j} = Z^2_{i'j} Z^2_{ij} etc., which the doubled local
@@ -30,10 +31,11 @@ models satisfy on the nose -- see the cabling oracle in the tests):
   below the line, and the unrelated punctures on the decorated side
   (below for plain/underlined symbols, above for barred ones);
 * a cusp's base arc ends on the near member of the fat pair;
-* the two branch factors Z_{ij'} and Z_{i'j} are the short arc i'->j and
-  the long arc i->j' passing i' above and j below; both are conjugated by
-  the transported conjugator of the line they regenerate (the printed lists
-  drop this common conjugation).
+* the two branch factors Z_{ij'} and Z_{i'j}, the printed atoms that rule 1
+  reads with `atom_factors`, are the short arc i'->j and the long arc i->j'
+  passing i' above and j below; both are conjugated by the transported
+  conjugator of the line they regenerate (the printed lists drop this
+  common conjugation).
 """
 
 from __future__ import annotations
@@ -182,17 +184,6 @@ def _pair_rho(cfg: PunctureConfig, label: str) -> Braid:
 # regeneration rules as factor lists (printed order; reverse to compose)
 
 
-def branch_factors(cfg: PunctureConfig, i: str, j: str, label: str = "") -> list:
-    """First rule, printed order: Z_{ij'} . Z_{i'j}.
-
-    The long arc i->j' passes i' above and j below; the short arc i'->j is
-    plain.  Any common conjugation is applied by the caller.
-    """
-    return [arc_factor(cfg, i, f"{j}'", 1, "branch", flipped=(f"{i}'",),
-                       label=f"{label}Z1[{i},{j}']"),
-            arc_factor(cfg, f"{i}'", j, 1, "branch", label=f"{label}Z1[{i}',{j}]")]
-
-
 def node_factors(cfg: PunctureConfig, end_a, end_b,
                  side: str = BELOW, label: str = "") -> list:
     """Second rule, printed order.
@@ -282,7 +273,9 @@ def regen_rule1(f: Factor, dm: DoublingMap) -> Factorization:
     if f.exponent != 1:
         raise ValueError(f"rule 1 needs exponent 1, got {f.exponent}")
     i, j = _factor_ends(dm, f)
-    return _from_printed(dm.doubled.n, branch_factors(dm.doubled, i, j))
+    return _from_printed(dm.doubled.n,
+                         atom_factors(dm.doubled, f"Z1[{i},{j}']")
+                         + atom_factors(dm.doubled, f"Z1[{i}',{j}]"))
 
 
 def regen_rule2(f: Factor, dm: DoublingMap, which: str = "i-side") -> Factorization:
@@ -347,30 +340,23 @@ def _atom_parts(cfg: PunctureConfig, text: str):
     return side, exp, _parse_end(cfg, m.group(4)), _parse_end(cfg, m.group(5))
 
 
-def _revprod(cfg_n: int, factors) -> Braid:
-    """Value of a printed factor list (rightmost factor applied first)."""
-    return _from_printed(cfg_n, factors).product()
-
-
 def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
-    """Value of one printed atom.
-
-    A Z atom's value is the product of its expansion by `atom_factors`, so
-    the value and the factor paths agree; an m exponent inverts it.
-    """
+    """Value of one printed atom (`entry_value`); an m exponent inverts it."""
     text = text.strip()
-    m = _DATOM.match(text)
-    if m:
-        return composite_twist(cfg, m.group(2).split(",")) ** int(m.group(1))
-    if _atom_parts(cfg, text)[1] < 0:
+    m = _RATOM.match(text)
+    if m and m.group(2):
         # the m follows Z, Zu or Zb, so it is the atom's first m
-        return parse_regen_atom(cfg, text.replace("m", "", 1)).inverse()
-    return _revprod(cfg.n, atom_factors(cfg, text))
+        return entry_value(cfg, text.replace("m", "", 1)).inverse()
+    return entry_value(cfg, text)
 
 
 def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
     """Expand one printed atom into its factor list (printed order)."""
     text = text.strip()
+    m = _DATOM.match(text)
+    if m:
+        return [Factor(composite_twist(cfg, m.group(2).split(",")),
+                       int(m.group(1)), COMPOSITE_TAG, label=f"{label}{text}")]
     side, exp, ea, eb = _atom_parts(cfg, text)
     thin = isinstance(ea, str) and isinstance(eb, str)
     if exp == 1 and thin:
@@ -416,10 +402,8 @@ def _split_entry(text: str):
 
 
 def entry_value(cfg: PunctureConfig, text: str, rho: Braid | None = None) -> Braid:
-    """Value of a printed factor ATOM^{...}: g . A . g^-1."""
-    base, tokens = _split_entry(text)
-    g = _conjugator(cfg, tokens, rho)
-    return parse_regen_atom(cfg, base).conjugate(g.inverse())
+    """Value of a printed factor ATOM^{...}: the product of its expansion."""
+    return _from_printed(cfg.n, entry_factors(cfg, text, rho)).product()
 
 
 def entry_factors(cfg: PunctureConfig, text: str,
@@ -534,7 +518,8 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
     met, as cable(Delta^2_n) . prod Z^2_{tt'} = Delta^2_2n (`conic_identity`
     checks it locally).  A ValueError names a factorization on another
     number of strands than g has lines, a composite without a vertex label,
-    a vertex's second composite, and the vertices without one.
+    a composite labelled with a vertex g does not have, a vertex's second
+    composite, and the vertices without one.
     """
     n = g.n_lines
     fz = phi8(g) if fz is None else fz
@@ -559,8 +544,10 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
         j = int(m[2]) if m and m[1] == "V" else None
         if j not in lines_of or j in seen:
             raise ValueError(f"{_where(i, f)}: " + (
-                f"second composite of vertex {j}, after {seen[j]}"
-                if j in seen else "composite without a vertex label"))
+                "composite without a vertex label" if j is None
+                else f"second composite of vertex {j}, after {seen[j]}"
+                if j in seen else f"the arrangement has no vertex {j}; "
+                f"its vertices are {list(g.vertices)}"))
         seen[j] = _where(i, f)
         out.extend(Factor(cable(h.core), 1, "branch", ct, h.label)
                    for h in _vertex_split(f, i))

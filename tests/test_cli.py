@@ -171,6 +171,20 @@ def test_regen_names_a_relabelled_composite(tmp_path, capsys):
     assert f"factor {i + 1} {label!r}" in err
 
 
+def test_regen_names_a_vertex_the_arrangement_lacks(tmp_path, capsys):
+    fz = phi8(build_tt())
+    i = next(k for k, f in enumerate(fz) if f.label.startswith("V9:"))
+    f = fz.factors[i]
+    label = "V10:" + f.label[3:]
+    _, path = _phi8_with(tmp_path, i, Factor(f.core, f.exponent, f.tag,
+                                             f.transport, label))
+    assert main(["verify", str(path)]) == 0
+    assert main(["regen", "run", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"forge regen: factor {i + 1} {label!r}: the arrangement has no "
+        "vertex 10; its vertices are [1, 2, 3, 4, 5, 6, 7, 8, 9]\n")
+
+
 def test_regen_audit(tmp_path, capsys):
     out = tmp_path / "phi0.json"
     assert main(["regen", "run", "--audit", "--out", str(out)]) == 0
@@ -369,6 +383,23 @@ def test_unreadable_certificate_is_a_usage_error(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("command, option", [
+    (["degen", "phi8"], "--out"), (["degen", "phi8"], "--report"),
+    (["regen", "run", "--in", "{cert}"], "--out"),
+    (["regen", "run", "--in", "{cert}"], "--report"),
+    (["table", "v1_conic_a"], "--report"), (["verify", "{cert}"], "--report"),
+    (["relations", "{cert}"], "--out"), (["goldens"], "--report")])
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, phi8_fz,
+                                               command, option):
+    cert = tmp_path / "phi8.json"
+    cert.write_text(phi8_fz.dumps())
+    bad = tmp_path / "no-such-dir" / "out.json"
+    argv = [a.format(cert=cert) for a in command] + [option, str(bad)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"forge {command[0]}: {bad}: "
+                                       "No such file or directory\n")
 
 
 def test_relations_on_regenerated_certificate_names_the_factor(

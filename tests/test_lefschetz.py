@@ -58,3 +58,32 @@ def test_two_sided_factor_count():
 def test_bad_table_rejected():
     with pytest.raises(ValueError):
         LefschetzTable(3, ["1", "2"], [])
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a wrong transcription reads False on exactly its rows
+
+
+def _false_rows(obj) -> list:
+    return [desc for desc, ok in golden_check(obj) if not ok]
+
+
+@pytest.mark.parametrize("row, text", [
+    (2, "D2<1,2,5>"),                   # the conjugation dropped
+    (2, "D1<1,2,5>^{Z2[5,6]}"),         # the exponent lowered
+    (3, "Zu2[1,6]"),                    # the conjugation dropped
+])
+def test_a_wrong_conic_row_reads_false(row, text):
+    obj = golden_json("tables/v1_conic_b.json")
+    obj["expected"][row - 1] = text
+    assert _false_rows(obj) == [f"v1_conic_b front row {row}"]
+
+
+def test_a_wrong_rotated_row_reads_false_twice():
+    """back_expected_rotated is compared as rotated and, conjugated by
+    rho^-1, as the final rows: a wrong string fails both."""
+    obj = golden_json("tables/v1_hyperbola.json")
+    rotated = obj["back_expected_rotated"]
+    rotated[0] = rotated[1]
+    assert _false_rows(obj) == ["v1_hyperbola rotated row 1",
+                                "v1_hyperbola final row 1"]

@@ -13,8 +13,8 @@ from braidforge.braid import Braid, artin_gen, delta_squared
 from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
 from braidforge.factorization import conj_factorization
-from braidforge.regeneration import (DoublingMap, _block_delta2, _pair_rho,
-                                     _revprod, atom_factors, band_full_twist,
+from braidforge.regeneration import (DoublingMap, _block_delta2, _from_printed,
+                                     _pair_rho, atom_factors, band_full_twist,
                                      cable, cable_word, conic_identity,
                                      conic_tables, doubled_labels, hv_diff,
                                      hv_paper_factors, node_factors,
@@ -111,7 +111,7 @@ def cfg4():
 
 
 def _val(cfg, printed):
-    return _revprod(cfg.n, printed)
+    return _from_printed(cfg.n, printed).product()
 
 
 def test_split_fat_left(cfg4):
@@ -201,6 +201,22 @@ def test_rule_degree_maps_on_1000_random_factors(rng):
             out = regen_rule3(f, dm)
             assert len(out) == 3 and out.degree == 9
             assert all(x.exponent == 3 for x in out)
+
+
+def test_rules_on_two_digit_labels():
+    """Among the doubled labels of 27 lines, "11'" names a puncture; the
+    rules take the ends of sigma_k for every k, two-digit ones included."""
+    dm = DoublingMap(range(1, 28))
+    for k in range(1, 27):
+        i, j = str(k), str(k + 1)
+        s = artin_gen(27, k)
+        both = regen_rule2(Factor(s, 2, "node"), dm, "both")
+        assert both.product() == cable(s ** 2), k
+        branch = regen_rule1(Factor(s, 1, "branch"), dm)
+        assert all(f.is_half_twist() for f in branch), k
+        assert ([{dm.doubled.label_at(p) for p in f.twist.moved_slots()}
+                 for f in branch] == [{f"{i}'", j}, {i, f"{j}'"}]), k
+        assert regen_rule3(Factor(s, 4, "tangent"), dm).degree == 9, k
 
 
 def test_rules_reject_wrong_exponents():
@@ -328,7 +344,7 @@ def test_atom_value_is_the_product_of_its_expansion():
     for labels, atom in cases:
         cfg = PunctureConfig(labels)
         plain = atom.replace("m", "", 1)
-        val = _revprod(cfg.n, atom_factors(cfg, plain))
+        val = _from_printed(cfg.n, atom_factors(cfg, plain)).product()
         want = val if plain == atom else val.inverse()
         assert parse_regen_atom(cfg, atom) == want, atom
     # the branch convention: the partner of the first end is passed above,
@@ -625,3 +641,12 @@ def test_hv_diff_reads_the_labels_of_the_conjugate(graph, phi8_fz):
         for fz in (plain, conj):
             diff = hv_diff(fz, obj["vertex"], paper)
             assert diff[0] == "factor count: engine 33, printed 54", name
+
+
+@pytest.mark.parametrize("name", ["fhat_a", "fhat_b", "fhat_c"])
+def test_a_conic_identity_without_a_factor_is_false(name):
+    """Dropping the first printed factor of F^_1 breaks the identity, so
+    the replay of the doubled local models does not pass vacuously."""
+    obj = conic_tables()[name]
+    obj["fhat1"] = obj["fhat1"][1:]
+    assert not conic_identity(obj)
