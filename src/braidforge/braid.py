@@ -542,6 +542,12 @@ def block_half_twist(n: int, a: int, b: int) -> Braid:
     return Braid(n, [l + a - 1 for l in half_twist_word(b - a + 1)])
 
 
+def block_full_twist(n: int, a: int, b: int) -> Braid:
+    """Positive full twist of the contiguous slot block a..b (1-based): the
+    block's half-twist word written twice."""
+    return Braid(n, block_half_twist(n, a, b).word * 2)
+
+
 def delta(n: int) -> Braid:
     if n < 2:
         raise ValueError("Delta needs n >= 2")
@@ -552,5 +558,4 @@ def delta_squared(n: int) -> Braid:
     """The full twist, generator of the center of B_n; degree n(n-1)."""
     if n < 2:
         raise ValueError("full twist needs n >= 2")
-    w = half_twist_word(n)
-    return Braid(n, tuple(w) * 2)
+    return block_full_twist(n, 1, n)

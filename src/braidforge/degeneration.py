@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .braid import Braid, block_half_twist, inverse_word
+from .braid import Braid, block_full_twist, block_half_twist, inverse_word
 from .factorization import COMPOSITE_TAG, Factor, Factorization, _Product
 
 
@@ -175,7 +175,7 @@ def _record_factor(g: DegenGraph, n: int, kind, payload, a0, k,
         return Factor(Braid._reduced(n, (a0 + 1,)), 2, "node", transport,
                       f"D{t}:{_pair_notation(g, p, t)}")
     lines = g.incident_lines(payload)
-    core = block_half_twist(n, a0 + 1, a0 + k) ** 2
+    core = block_full_twist(n, a0 + 1, a0 + k)
     label = f"V{payload}:Delta2<" + ",".join(str(t) for t in lines) + ">"
     return Factor(core, 1, COMPOSITE_TAG, transport, label)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from operator import neg
 
-from .braid import (Braid, artin_gen, block_half_twist, common_suffix,
+from .braid import (Braid, artin_gen, block_full_twist, common_suffix,
                     extend_reduced, from_text, inverse_word, to_text)
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
@@ -174,12 +174,17 @@ def _where(i: int, f: Factor) -> str:
 def _vertex_split(f: Factor, i: int) -> list:
     """The i-th factor, a vertex full twist, as 30 frame letters sharing its
     transport."""
+    if f.exponent != 1:
+        raise ValueError(f"{_where(i, f)}: a vertex factor has exponent 1, "
+                         f"got {f.exponent}")
     core = f.core
     inf, perms = core.normal_form()
-    support = sorted({s for p in perms for s in range(f.n) if p[s] != s})
+    # a nonzero inf (a power of Delta) moves every strand
+    support = (list(range(f.n)) if inf else
+               sorted({s for p in perms for s in range(f.n) if p[s] != s}))
     a0 = support[0] + 1 if support else 0   # the block's first strand
-    if (inf != 0 or support != list(range(a0 - 1, a0 + 5))
-            or core != block_half_twist(f.n, a0, a0 + 5) ** 2):
+    if (support != list(range(a0 - 1, a0 + 5))
+            or core != block_full_twist(f.n, a0, a0 + 5)):
         raise ValueError(f"{_where(i, f)}: vertex factor core is not a "
                          "six-strand block twist")
     return [Factor(artin_gen(f.n, k), 1, "branch", f.transport,

@@ -16,10 +16,17 @@ end of the configuration.  Where the branches are real to the left
 (kind "ri2", block "P2"), the row is evaluated on the left side, so its own
 delta participates in its transport.
 
-The two-sided variant evaluates a second table from a far base point on the
-other side of the singularities, rotates the resulting skeletons by a half
-turn of the whole disk, and conjugates them by the inverse of the product of
-the designated pair half-twists; the result is appended to the front factors.
+A table is its golden JSON: `monodromy_from_table` reads each row's `j`,
+`lambda` (a slot block [a, b], or "P2"), `eps` and `delta` ({"kind": half |
+full | i2r | ri2, "at": a block, or a slot k}), and `golden_check` reads
+`strands`, `labels`, `rows` and `expected`.
+
+The two-sided variant evaluates a second table (`back_rows`) from a far base
+point on the other side of the singularities, rotates the resulting
+skeletons by a half turn of the whole disk, and conjugates them by the
+inverse of the product of the designated pair half-twists;
+`two_sided_monodromy` appends the result to the front factors.  It takes the
+two tables' factorizations, so `golden_check` evaluates each table once.
 
 Row values are conjugates x^g = g^-1 x g (`Braid.conjugate`); the golden
 replay compares each row with the value of its printed entry,
@@ -29,53 +36,9 @@ replay compares each row with the value of its printed entry,
 from __future__ import annotations
 
 from .arcs import PunctureConfig, pair_twists
-from .braid import Braid, artin_gen, block_half_twist, delta
+from .braid import Braid, artin_gen, block_full_twist, block_half_twist, delta
 from .factorization import COMPOSITE_TAG, EXP_TAG, Factor, Factorization
 from .regeneration import entry_value
-
-
-class LefschetzRow:
-    __slots__ = ("j", "block", "eps", "delta_kind", "delta_at")
-
-    def __init__(self, j, block, eps, delta_kind, delta_at):
-        self.j = j
-        self.block = block          # (a, b) slot block, or "P2"
-        self.eps = eps
-        self.delta_kind = delta_kind  # half | full | i2r | ri2
-        self.delta_at = delta_at      # (a, b) for half/full, slot k otherwise
-        if delta_kind in ("half", "full"):
-            a, b = delta_at
-            if not (a < b <= a + 2):
-                raise ValueError(f"row {j}: bad delta block {delta_at}")
-        if (block == "P2") != (delta_kind == "ri2"):
-            raise ValueError(f"row {j}: P2 blocks go with ri2 deltas only")
-
-    @classmethod
-    def from_json(cls, obj) -> "LefschetzRow":
-        lam = obj["lambda"]
-        block = "P2" if lam == "P2" else tuple(lam)
-        d = obj["delta"]
-        at = d["at"]
-        return cls(obj["j"], block, obj["eps"], d["kind"],
-                   tuple(at) if isinstance(at, list) else at)
-
-
-class LefschetzTable:
-    """Rows plus the base-fiber labelling (slot order at the base point)."""
-
-    __slots__ = ("strands", "labels", "rows")
-
-    def __init__(self, strands, labels, rows):
-        if len(labels) != strands:
-            raise ValueError("one label per strand required")
-        self.strands = strands
-        self.labels = tuple(str(l) for l in labels)
-        self.rows = tuple(rows)
-
-    @classmethod
-    def from_json(cls, obj) -> "LefschetzTable":
-        return cls(obj["strands"], obj["labels"],
-                   [LefschetzRow.from_json(r) for r in obj["rows"]])
 
 
 def _ascend(n: int, k: int) -> Braid:
@@ -108,7 +71,7 @@ def _delta_braid(n: int, kind: str, at) -> Braid:
     if kind == "half":
         return block_half_twist(n, at[0], at[1])
     if kind == "full":
-        return block_half_twist(n, at[0], at[1]) ** 2
+        return block_full_twist(n, at[0], at[1])
     if kind == "ri2":
         return _ascend(n, at)
     if kind == "i2r":
@@ -116,41 +79,38 @@ def _delta_braid(n: int, kind: str, at) -> Braid:
     raise ValueError(f"unknown delta kind {kind!r}")
 
 
-def monodromy_from_table(t: LefschetzTable) -> Factorization:
-    n = t.strands
+def monodromy_from_table(n: int, rows) -> Factorization:
+    """The factors of a table's rows (its golden JSON `rows`) on n strands."""
     acc = Braid(n)          # product of the deltas seen so far
     factors = []
-    for row in t.rows:
-        d = _delta_braid(n, row.delta_kind, row.delta_at)
-        if row.block == "P2":
+    for row in rows:
+        j, lam, eps = row["j"], row["lambda"], row["eps"]
+        kind, at = row["delta"]["kind"], row["delta"]["at"]
+        if kind in ("half", "full") and not at[0] < at[1] <= at[0] + 2:
+            raise ValueError(f"row {j}: bad delta block {tuple(at)}")
+        if (lam == "P2") != (kind == "ri2"):
+            raise ValueError(f"row {j}: P2 blocks go with ri2 deltas only")
+        d = _delta_braid(n, kind, at)
+        if lam == "P2":
             # evaluated on the far side of the branch point: the pair is
             # still real at (k, k+1) and the row's own delta transports it
-            h = artin_gen(n, row.delta_at)
-            g = acc * d
+            h, g, tag = artin_gen(n, at), acc * d, EXP_TAG[eps]
         else:
-            a, b = row.block
-            h = block_half_twist(n, a, b)
-            g = acc
-        if row.block != "P2" and row.block[1] - row.block[0] > 1:
-            tag = COMPOSITE_TAG
-        else:
-            tag = EXP_TAG[row.eps]
-        factors.append(Factor(h, row.eps, tag,
-                              label=f"row{row.j}").conjugate(g.inverse()))
+            a, b = lam
+            h, g = block_half_twist(n, a, b), acc
+            tag = COMPOSITE_TAG if b - a > 1 else EXP_TAG[eps]
+        factors.append(Factor(h, eps, tag, g.inverse(), f"row{j}"))
         acc = acc * d
     return Factorization(n, factors)
 
 
-def two_sided_monodromy(front: LefschetzTable, back: LefschetzTable,
+def two_sided_monodromy(front: Factorization, back: Factorization,
                         rho: Braid) -> Factorization:
     """Front factors, then the back factors rotated a half turn and
     conjugated by rho^-1 (the product of the designated pair half-twists)."""
-    if front.strands != back.strands:
-        raise ValueError("strand mismatch between the two tables")
     # transport by the rotation first, then by rho^-1
     conj = rho.inverse() * delta(front.strands)
-    return (monodromy_from_table(front)
-            + monodromy_from_table(back).conjugate(conj.inverse()))
+    return front + back.conjugate(conj.inverse())
 
 
 def golden_check(obj) -> list:
@@ -162,11 +122,13 @@ def golden_check(obj) -> list:
     conjugated by rho^-1 (the tail of the two-sided monodromy) against the
     same strings with a trailing rho^-1.
     """
-    front = LefschetzTable.from_json(obj)
+    n, labels = obj["strands"], obj["labels"]
+    if len(labels) != n:
+        raise ValueError("one label per strand required")
     out = []
 
-    labelled = PunctureConfig(front.labels)
-    positional = PunctureConfig(range(1, front.strands + 1))
+    labelled = PunctureConfig(labels)
+    positional = PunctureConfig(range(1, n + 1))
 
     def compare(stage, factors, texts, cfg, post=None):
         for i, (f, text) in enumerate(zip(factors, texts)):
@@ -176,17 +138,15 @@ def golden_check(obj) -> list:
             out.append((f"{obj['name']} {stage} row {i + 1}",
                         f.braid() == want))
 
-    compare("front", monodromy_from_table(front), obj["expected"], labelled)
+    front = monodromy_from_table(n, obj["rows"])
+    compare("front", front, obj["expected"], labelled)
     if obj.get("back_rows"):
-        back = LefschetzTable.from_json(
-            {"strands": obj["strands"], "labels": obj["labels"],
-             "rows": obj["back_rows"]})
-        far = monodromy_from_table(back)
+        far = monodromy_from_table(n, obj["back_rows"])
         compare("far", far, obj["back_expected_far"], positional)
-        compare("rotated", far.conjugate(delta(front.strands).inverse()),
+        compare("rotated", far.conjugate(delta(n).inverse()),
                 obj["back_expected_rotated"], positional)
         rho = pair_twists(labelled, obj["rho"])
-        final = two_sided_monodromy(front, back, rho).factors[len(front.rows):]
+        final = two_sided_monodromy(front, far, rho).factors[len(front):]
         compare("final", final, obj["back_expected_rotated"], positional,
                 post=lambda b: b.conjugate(rho))
     return out

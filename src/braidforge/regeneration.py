@@ -46,7 +46,7 @@ from itertools import chain
 
 from .arcs import (ABOVE, BELOW, PunctureConfig, arc_factor, composite_twist,
                    pair_twists)
-from .braid import Braid, artin_gen, block_half_twist, delta_squared
+from .braid import Braid, artin_gen, block_full_twist, delta_squared
 from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, EXP_TAG, Factor, Factorization,
@@ -147,13 +147,6 @@ def _gather_transport(n: int, slots_a, slots_b, side: str) -> Braid:
     return Braid(n, word)
 
 
-def _block_delta2(n: int, a: int, k: int) -> Braid:
-    """Full twist of the k adjacent strands starting at slot a."""
-    if k == 1:
-        return Braid(n)
-    return block_half_twist(n, a, a + k - 1) ** 2
-
-
 def band_full_twist(cfg: PunctureConfig, end_a, end_b, side: str = BELOW) -> Braid:
     """Z^2_{A,B}: full twist of the band joining the two ends.
 
@@ -169,9 +162,9 @@ def band_full_twist(cfg: PunctureConfig, end_a, end_b, side: str = BELOW) -> Bra
     n = cfg.n
     T = _gather_transport(n, sa, sb, side)
     a0, p, q = sa[0], len(sa), len(sb)
-    core = (_block_delta2(n, a0, p + q)
-            * _block_delta2(n, a0, p).inverse()
-            * _block_delta2(n, a0 + p, q).inverse())
+    core = (block_full_twist(n, a0, a0 + p + q - 1)
+            * block_full_twist(n, a0, a0 + p - 1).inverse()
+            * block_full_twist(n, a0 + p, a0 + p + q - 1).inverse())
     return core.conjugate(T.inverse())
 
 
@@ -257,9 +250,9 @@ class DoublingMap:
 
 def _factor_ends(dm: DoublingMap, f: Factor):
     """Base labels of the two punctures a half-twist factor exchanges."""
+    if not f.is_half_twist():
+        raise ValueError(f"factor {f!r} is not a half twist")
     moved = f.twist.moved_slots()
-    if len(moved) != 2:
-        raise ValueError("factor twist is not a half twist of two punctures")
     return dm.base.label_at(moved[0]), dm.base.label_at(moved[1])
 
 

@@ -8,7 +8,7 @@ import re
 import time
 from collections import deque
 
-from .braid import Braid, delta_squared
+from .braid import delta_squared
 from .factorization import COMPOSITE_TAG, Factorization, _vertex_split, _where
 
 
@@ -151,13 +151,6 @@ def artin_census(f: Factorization) -> dict:
     return {"by_exponent": by_r, "by_tag": by_tag}
 
 
-def _twist_pair(twist: Braid):
-    moved = twist.moved_slots()
-    if len(moved) == 2:
-        return moved[0] + 1, moved[1] + 1
-    return None
-
-
 def emit_relations(f: Factorization) -> list:
     """One van Kampen relation template per factor, a vertex composite
     expanded into its frame letters.
@@ -170,11 +163,10 @@ def emit_relations(f: Factorization) -> list:
     for i, factor in enumerate(f.factors, 1):
         for fac in (_vertex_split(factor, i) if factor.tag == COMPOSITE_TAG
                     else [factor]):
-            twist = fac.twist
-            pair = _twist_pair(twist)
-            if pair is None:
+            if not fac.is_half_twist():
                 raise ValueError(f"{_where(i, fac)} is not a half twist")
-            a, b = pair
+            twist = fac.twist
+            a, b = (s + 1 for s in twist.moved_slots())
             w = twist.to_text() or "e"
             A, B = f"(G{a})^[{w}]", f"(G{b})^[{w}]"
             if fac.exponent == 1:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import braidforge
-from braidforge.braid import Braid, artin_gen
+from braidforge.braid import Braid, artin_gen, delta_squared
 from braidforge.cli import main
 from braidforge.data import golden_names
 from braidforge.degeneration import build_tt, phi8
@@ -411,6 +411,29 @@ def test_relations_on_regenerated_certificate_names_the_factor(
     first = regen_fz.factors[0]
     assert "factor 1 " in err and first.label in err
     assert "not a half twist" in err
+
+
+def test_relations_refuses_a_cube_tagged_branch(tmp_path, capsys):
+    path = tmp_path / "cube.json"
+    path.write_text('{"format": 2, "strands": 3, "factors": '
+                    '[{"core": "s1 s1 s1", "exp": 1, "tag": "branch"}]}')
+    assert main(["relations", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("forge relations: factor 1 ")
+    assert captured.err.endswith(" is not a half twist\n")
+
+
+def test_relations_on_a_six_strand_vertex(tmp_path):
+    """On six strands the vertex full twist is Delta^2_6, whose normal form
+    is inf 2 with no factors; it still splits into 30 frame letters."""
+    path, out = tmp_path / "v6.json", tmp_path / "rels.json"
+    path.write_text(Factorization(6, [Factor(
+        delta_squared(6), 1, "composite",
+        label="V1:Delta2<1,2,3,4,5,6>")]).dumps())
+    assert main(["verify", str(path)]) == 0
+    assert main(["relations", str(path), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 30
 
 
 def test_dead_flags_are_gone():

@@ -5,10 +5,9 @@ import time
 import pytest
 
 from braidforge.arcs import PunctureConfig, pair_twists
-from braidforge.braid import delta_squared
 from braidforge.data import golden_json, golden_names
-from braidforge.lefschetz import (LefschetzTable, golden_check,
-                                  monodromy_from_table, two_sided_monodromy)
+from braidforge.lefschetz import (golden_check, monodromy_from_table,
+                                  two_sided_monodromy)
 
 TABLES = golden_names("tables")
 
@@ -37,7 +36,7 @@ def test_total_row_count_and_runtime():
 @pytest.mark.parametrize("name", [n for n in TABLES if "conic" in n])
 def test_conic_monodromy_degree(name):
     obj = golden_json(f"tables/{name}.json")
-    fz = monodromy_from_table(LefschetzTable.from_json(obj))
+    fz = monodromy_from_table(obj["strands"], obj["rows"])
     # two branch points, one tangency or equivalent block content per table
     assert len(fz) == len(obj["rows"])
     assert all(f.braid().degree == f.degree for f in fz)
@@ -46,18 +45,36 @@ def test_conic_monodromy_degree(name):
 def test_two_sided_factor_count():
     name = next(n for n in TABLES if "hyperbola" in n)
     obj = golden_json(f"tables/{name}.json")
-    front = LefschetzTable.from_json(obj)
-    back = LefschetzTable.from_json(
-        {"strands": obj["strands"], "labels": obj["labels"],
-         "rows": obj["back_rows"]})
-    rho = pair_twists(PunctureConfig(front.labels), obj["rho"])
+    n = obj["strands"]
+    front = monodromy_from_table(n, obj["rows"])
+    back = monodromy_from_table(n, obj["back_rows"])
+    rho = pair_twists(PunctureConfig(obj["labels"]), obj["rho"])
     fz = two_sided_monodromy(front, back, rho)
     assert len(fz) == len(obj["rows"]) + len(obj["back_rows"])
 
 
-def test_bad_table_rejected():
-    with pytest.raises(ValueError):
-        LefschetzTable(3, ["1", "2"], [])
+def _drop_a_label(obj):
+    obj["labels"].pop()
+
+
+def _widen_a_delta(obj):
+    obj["rows"][1]["delta"]["at"] = [1, 4]
+
+
+def _unpair_p2(obj):
+    obj["rows"][5]["delta"] = {"kind": "ri2", "at": 3}
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_drop_a_label, "one label per strand required"),
+    (_widen_a_delta, r"row 2: bad delta block \(1, 4\)"),
+    (_unpair_p2, "row 6: P2 blocks go with ri2 deltas only"),
+], ids=["label-count", "delta-block", "p2-pairing"])
+def test_bad_table_rejected(spoil, message):
+    obj = golden_json("tables/v1_conic_b.json")
+    spoil(obj)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        golden_check(obj)
 
 
 # ---------------------------------------------------------------------------

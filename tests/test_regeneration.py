@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidforge.arcs import ABOVE, BELOW, PunctureConfig, arc_twist
-from braidforge.braid import Braid, artin_gen, delta_squared
+from braidforge.arcs import ABOVE, BELOW, PunctureConfig, arc_twist, pair_twists
+from braidforge.braid import Braid, artin_gen, block_full_twist, delta_squared
 from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
 from braidforge.factorization import conj_factorization
-from braidforge.regeneration import (DoublingMap, _block_delta2, _from_printed,
+from braidforge.regeneration import (DoublingMap, _atom_parts, _from_printed,
                                      _pair_rho, atom_factors, band_full_twist,
                                      cable, cable_word, conic_identity,
                                      conic_tables, doubled_labels, hv_diff,
@@ -95,7 +95,7 @@ def test_partial_cable_full_twist_oracle(rng):
         tail = Braid(N)
         off = 1
         for w in widths:
-            tail = tail * _block_delta2(N, off, w)
+            tail = tail * block_full_twist(N, off, off + w - 1)
             off += w
         assert img * tail == delta_squared(N)
         assert tail * img == delta_squared(N)
@@ -168,9 +168,10 @@ def test_split_both_sides_inverse(cfg4):
 
 
 def _random_half_twist_factor(rng, n, exponent, tag):
+    """sigma_k transported by a random g: the twist g^-1 . sigma_k . g."""
     k = rng.randint(1, n - 1)
     g = random_braid(rng, n, length=rng.randint(0, 4))
-    return Factor(artin_gen(n, k).conjugate(g), exponent, tag)
+    return Factor(artin_gen(n, k), exponent, tag, g)
 
 
 def test_rule_degree_maps_on_1000_random_factors(rng):
@@ -230,6 +231,15 @@ def test_rules_reject_wrong_exponents():
         regen_rule2(Factor(artin_gen(2, 1), 1, "branch"), dm)
     with pytest.raises(ValueError):
         regen_rule2(node, dm, "sideways")
+
+
+def test_rules_reject_a_factor_that_is_no_half_twist():
+    """sigma_1^3 moves two slots and has degree 3, the degree of no
+    half-twist; tagged a branch point it is refused, not read as Z_12."""
+    dm = DoublingMap(["1", "2", "3"])
+    cube = Factor(artin_gen(3, 1) ** 3, 1, "branch")
+    with pytest.raises(ValueError, match="is not a half twist$"):
+        regen_rule1(cube, dm)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +346,26 @@ def _golden_atoms():
     return sorted(out)
 
 
+def _pinned_atom_value(cfg, atom):
+    """The value of a printed Z atom, written out without `atom_factors`."""
+    side, exp, ea, eb = _atom_parts(cfg, atom)
+    r = abs(exp)
+    if isinstance(ea, str) and isinstance(eb, str):
+        # a branch atom passes the partner of its first end above
+        flipped = (f"{ea}'",) if r == 1 and side == BELOW else ()
+        val = arc_twist(cfg, ea, eb, side, flipped) ** r
+    elif r == 2:
+        val = band_full_twist(cfg, ea, eb, side)
+    else:
+        # rho^-1 Z^3 rho . Z^3 . rho Z^3 rho^-1, Z to the near member
+        assert r == 3, atom
+        pair, near = (ea, (ea[1], eb)) if isinstance(eb, str) else (eb, (ea, eb[0]))
+        z3 = arc_twist(cfg, *near, side) ** 3
+        rho = pair_twists(cfg, [pair])
+        val = z3.conjugate(rho) * z3 * z3.conjugate(rho.inverse())
+    return val.inverse() if exp < 0 else val
+
+
 def test_atom_value_is_the_product_of_its_expansion():
     doubled = tuple(doubled_labels(["1", "2", "3"]))
     cases = _golden_atoms() + [(doubled, a)
@@ -343,10 +373,7 @@ def test_atom_value_is_the_product_of_its_expansion():
     assert len(cases) > 50
     for labels, atom in cases:
         cfg = PunctureConfig(labels)
-        plain = atom.replace("m", "", 1)
-        val = _from_printed(cfg.n, atom_factors(cfg, plain)).product()
-        want = val if plain == atom else val.inverse()
-        assert parse_regen_atom(cfg, atom) == want, atom
+        assert parse_regen_atom(cfg, atom) == _pinned_atom_value(cfg, atom), atom
     # the branch convention: the partner of the first end is passed above,
     # the other punctures on the printed side
     cfg = PunctureConfig(doubled)
@@ -590,6 +617,19 @@ def test_regenerate_names_a_composite_that_is_no_block_twist(graph, phi8_fz):
         + phi8_fz.factors[i + 1:])
     with pytest.raises(ValueError, match=rf"^factor {i + 1} 'V6:.*': vertex "
                        "factor core is not a six-strand block twist$"):
+        regenerate(graph, bad)
+
+
+def test_regenerate_refuses_a_vertex_composite_squared(graph, phi8_fz):
+    """A vertex full twist with exponent 2 has degree 60; it is refused,
+    not split into 30 frame letters of degree 30."""
+    i = _composite(phi8_fz, 2)
+    f = phi8_fz[i]
+    bad = Factorization(27, phi8_fz.factors[:i] + (
+        Factor(f.core, 2, f.tag, f.transport, f.label),)
+        + phi8_fz.factors[i + 1:])
+    with pytest.raises(ValueError, match=rf"^factor {i + 1} 'V2:.*': a vertex "
+                       "factor has exponent 1, got 2$"):
         regenerate(graph, bad)
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from braidforge import verify
-from braidforge.braid import Braid, artin_gen, delta_squared
+from braidforge.braid import Braid, artin_gen, block_full_twist, delta_squared
 from braidforge.factorization import (Factor, Factorization,
                                       frame_factorization, hurwitz_move)
 from braidforge.verify import (VerificationReport, artin_census,
@@ -119,4 +119,17 @@ def test_emit_relations_rejects_non_half_twists():
     fz = Factorization(3, [Factor(artin_gen(3, 1) * artin_gen(3, 2), 1,
                                   "composite", label="junk")])
     with pytest.raises(ValueError):
+        emit_relations(fz)
+    # sigma_1^3 moves two slots, but it is no half-twist
+    cube = Factorization(3, [Factor(artin_gen(3, 1) ** 3, 1, "branch")])
+    with pytest.raises(ValueError, match=r"^factor 1 .* is not a half twist$"):
+        emit_relations(cube)
+
+
+def test_emit_relations_refuses_a_vertex_composite_squared():
+    """Exponent 2 makes a degree-60 factor, not 30 frame letters."""
+    fz = Factorization(7, [Factor(block_full_twist(7, 1, 6), 2, "composite",
+                                  label="V1:Delta2<1,2,3,4,5,6>")])
+    with pytest.raises(ValueError, match="a vertex factor has exponent 1, "
+                       "got 2$"):
         emit_relations(fz)
