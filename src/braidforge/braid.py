@@ -339,7 +339,7 @@ class Braid:
     the invariant with cancellation at the joins only.
     """
 
-    __slots__ = ("n", "word", "_nf", "_deg")
+    __slots__ = ("n", "word", "_nf")
 
     def __init__(self, n: int, word=()):
         if n < 1:
@@ -354,7 +354,6 @@ class Braid:
         _SET_N(self, n)
         _SET_WORD(self, word)
         _SET_NF(self, None)
-        _SET_DEG(self, None)
 
     @classmethod
     def _reduced(cls, n: int, word: tuple) -> "Braid":
@@ -363,7 +362,6 @@ class Braid:
         _SET_N(b, n)
         _SET_WORD(b, word)
         _SET_NF(b, None)
-        _SET_DEG(b, None)
         return b
 
     def __setattr__(self, name, value):
@@ -426,14 +424,10 @@ class Braid:
 
     @property
     def degree(self) -> int:
-        """Exponent sum of the word (crossing number with signs), cached."""
-        d = self._deg
-        if d is None:
-            word = self.word
-            # every negative letter counts -1 instead of +1
-            d = len(word) - 2 * sum(map(lt, word, repeat(0)))
-            _SET_DEG(self, d)
-        return d
+        """Exponent sum of the word (crossing number with signs)."""
+        word = self.word
+        # every negative letter counts -1 instead of +1
+        return len(word) - 2 * sum(map(lt, word, repeat(0)))
 
     def permutation(self) -> Perm:
         """The image under the projection B_n -> S_n, sigma_k -> (k k+1).
@@ -459,8 +453,8 @@ class Braid:
 
 
 # the slot setters, which bypass the immutability guard in __setattr__
-_SET_N, _SET_WORD, _SET_NF, _SET_DEG = (Braid.__dict__[s].__set__
-                                        for s in Braid.__slots__)
+_SET_N, _SET_WORD, _SET_NF = (Braid.__dict__[s].__set__
+                              for s in Braid.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +514,11 @@ def from_text(n: int, text: str) -> Braid:
 # standard elements
 
 
-def artin_gen(n: int, k: int, sign: int = 1) -> Braid:
-    """The elementary braid sigma_k^{sign} in B_n."""
+def artin_gen(n: int, k: int) -> Braid:
+    """The elementary braid sigma_k in B_n."""
     if not (1 <= k <= n - 1):
         raise ValueError(f"generator index {k} out of range for B_{n}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    return Braid(n, (k * sign,))
+    return Braid(n, (k,))
 
 
 def half_twist_word(n: int) -> list[Letter]:

@@ -23,6 +23,11 @@ printed order is the reverse (`_from_printed`).  A printed conjugation
 local monodromy tables, and a printed entry has one value: the product of
 its expansion by `entry_factors` (`entry_value`).
 
+The arcs, the ribbon band twists Z^2_{ii',jj'} and the composites D<...>
+are built in `arcs` (`arc_factor`, `band_full_twist`, `composite_twist`),
+whose one drag fixes which side gives which letter sign; this module only
+chooses the sides.
+
 Arc conventions (frozen; every choice is pinned by the exact splitting
 identities Z^2_{ii',j} = Z^2_{i'j} Z^2_{ij} etc., which the doubled local
 models satisfy on the nose -- see the cabling oracle in the tests):
@@ -44,9 +49,9 @@ import re
 from functools import lru_cache
 from itertools import chain
 
-from .arcs import (ABOVE, BELOW, PunctureConfig, arc_factor, composite_twist,
-                   pair_twists)
-from .braid import Braid, artin_gen, block_full_twist, delta_squared
+from .arcs import (ABOVE, BELOW, PunctureConfig, arc_factor, band_full_twist,
+                   composite_twist, pair_twists)
+from .braid import Braid, artin_gen, delta_squared
 from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, EXP_TAG, Factor, Factorization,
@@ -118,62 +123,6 @@ def doubled_labels(labels) -> list:
 
 
 # ---------------------------------------------------------------------------
-# ribbon (fat) band twists
-
-
-def _ends_slots(cfg: PunctureConfig, end) -> list:
-    """Contiguous 1-based slots of an end (a label or a pair of labels)."""
-    labels = [end] if isinstance(end, str) else list(end)
-    slots = sorted(cfg.position(l) + 1 for l in labels)
-    if slots != list(range(slots[0], slots[0] + len(slots))):
-        raise ValueError(f"end {labels} is not a contiguous block")
-    return slots
-
-
-def _gather_transport(n: int, slots_a, slots_b, side: str) -> Braid:
-    """Drag block B leftward until it sits right after block A.
-
-    Every intermediate puncture is crossed on the given side (below gives
-    positive elementary letters, as for plain arcs).
-    """
-    e = 1 if side == BELOW else -1
-    word = []
-    target = slots_a[-1] + 1
-    cur = list(slots_b)
-    for i in range(len(cur)):
-        frm, to = cur[i], target + i
-        for p in range(frm - 1, to - 1, -1):
-            word.append(e * p)
-    return Braid(n, word)
-
-
-def band_full_twist(cfg: PunctureConfig, end_a, end_b, side: str = BELOW) -> Braid:
-    """Z^2_{A,B}: full twist of the band joining the two ends.
-
-    The value is the boundary twist of the gathered A u B disk with the
-    internal twists of each end removed, transported back so that the
-    intermediates are passed on the given side.
-    """
-    sa, sb = _ends_slots(cfg, end_a), _ends_slots(cfg, end_b)
-    if sa[0] > sb[0]:
-        sa, sb = sb, sa
-    if sa[-1] >= sb[0]:
-        raise ValueError("band ends overlap")
-    n = cfg.n
-    T = _gather_transport(n, sa, sb, side)
-    a0, p, q = sa[0], len(sa), len(sb)
-    core = (block_full_twist(n, a0, a0 + p + q - 1)
-            * block_full_twist(n, a0, a0 + p - 1).inverse()
-            * block_full_twist(n, a0 + p, a0 + p + q - 1).inverse())
-    return core.conjugate(T.inverse())
-
-
-def _pair_rho(cfg: PunctureConfig, label: str) -> Braid:
-    """Half twist Z_{ll'} of a close pair (adjacent by construction)."""
-    return pair_twists(cfg, [(label, f"{label}'")])
-
-
-# ---------------------------------------------------------------------------
 # regeneration rules as factor lists (printed order; reverse to compose)
 
 
@@ -225,7 +174,7 @@ def cusp_factors(cfg: PunctureConfig, end_a, end_b,
     else:
         pair, single = end_b, end_a
         a, b = single, pair[0]          # near member is the left one
-    rho = _pair_rho(cfg, pair[0].rstrip("'"))
+    rho = pair_twists(cfg, [pair])
 
     def z3(suffix):
         return arc_factor(cfg, a, b, 3, "cusp", side,
@@ -348,8 +297,12 @@ def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
     text = text.strip()
     m = _DATOM.match(text)
     if m:
-        return [Factor(composite_twist(cfg, m.group(2).split(",")),
-                       int(m.group(1)), COMPOSITE_TAG, label=f"{label}{text}")]
+        try:
+            tw = composite_twist(cfg, m.group(2).split(","))
+        except ValueError as err:
+            raise ValueError(f"atom {text!r}: {err}") from None
+        return [Factor(tw, int(m.group(1)), COMPOSITE_TAG,
+                       label=f"{label}{text}")]
     side, exp, ea, eb = _atom_parts(cfg, text)
     thin = isinstance(ea, str) and isinstance(eb, str)
     if exp == 1 and thin:

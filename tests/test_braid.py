@@ -338,10 +338,10 @@ def test_inverse_matches_the_per_letter_definition(u):
 
 
 @given(words, words, st.integers(min_value=-3, max_value=3))
-def test_degree_is_cached_per_braid(u, v, e):
+def test_degree_is_the_exponent_sum_of_each_result(u, v, e):
     a, g = Braid(N, u), Braid(N, v)
-    # read the operands' degrees first, so a result that inherited a stale
-    # cached degree from an operand would show
+    # read the operands' degrees first, so a result that took its degree from
+    # an operand would show
     assert a.degree == _ref_degree(a.word) == _ref_degree(u)
     assert g.degree == _ref_degree(g.word)
     for b in (a * g, g * a, a ** e, (a * g) ** e, a.conjugate(g),

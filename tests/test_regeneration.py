@@ -8,19 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidforge.arcs import ABOVE, BELOW, PunctureConfig, arc_twist, pair_twists
+from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, arc_twist,
+                             band_full_twist, pair_twists)
 from braidforge.braid import Braid, artin_gen, block_full_twist, delta_squared
 from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
 from braidforge.factorization import conj_factorization
 from braidforge.regeneration import (DoublingMap, _atom_parts, _from_printed,
-                                     _pair_rho, atom_factors, band_full_twist,
-                                     cable, cable_word, conic_identity,
-                                     conic_tables, doubled_labels, hv_diff,
-                                     hv_paper_factors, node_factors,
-                                     parse_regen_atom, partial_cable,
-                                     regen_audit, regen_rule1, regen_rule2,
-                                     regen_rule3)
+                                     atom_factors, cable, cable_word,
+                                     conic_identity, conic_tables,
+                                     doubled_labels, hv_diff, hv_paper_factors,
+                                     node_factors, parse_regen_atom,
+                                     partial_cable, regen_audit, regen_rule1,
+                                     regen_rule2, regen_rule3)
 from braidforge.regeneration import _branch_assignment, conic_monodromy, regenerate
 from braidforge.verify import check_full_twist, hurwitz_equivalent
 from conftest import random_braid
@@ -251,6 +251,11 @@ def dm2():
     return DoublingMap(["1", "2"])
 
 
+def _pair_rho(cfg, label):
+    """Half twist Z_{ll'} of a close pair."""
+    return pair_twists(cfg, [(label, f"{label}'")])
+
+
 def test_invariance_rule_one(dm2):
     """Z_{ij'} . Z_{i'j} is invariant under (Z_{ii'} Z_{jj'})^q."""
     out = regen_rule1(Factor(artin_gen(2, 1), 1, "branch"), dm2)
@@ -379,6 +384,13 @@ def test_atom_value_is_the_product_of_its_expansion():
     cfg = PunctureConfig(doubled)
     assert parse_regen_atom(cfg, "Z1[1,3]").word == (4, 3, -2, 1, 2, -3, -4)
     assert parse_regen_atom(cfg, "Zb1[1,3]").word == (-4, -3, -2, 1, 2, 3, 4)
+
+
+def test_a_composite_atom_that_names_a_puncture_twice_is_refused():
+    cfg = PunctureConfig(["1", "2", "3"])
+    with pytest.raises(ValueError, match=re.escape("atom 'D2<1,1,2>'")):
+        atom_factors(cfg, "D2<1,1,2>")
+    assert [f.label for f in atom_factors(cfg, "D2<1,3>")] == ["D2<1,3>"]
 
 
 def test_a_two_digit_primed_label_is_one_puncture():
