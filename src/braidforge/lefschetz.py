@@ -30,15 +30,14 @@ two tables' factorizations, so `golden_check` evaluates each table once.
 
 Row values are conjugates x^g = g^-1 x g (`Braid.conjugate`); the golden
 replay compares each row with the value of its printed entry,
-`regeneration.entry_value`, the product of the entry's expansion.
+`arcs.entry_value`, the product of the entry's expansion.
 """
 
 from __future__ import annotations
 
-from .arcs import PunctureConfig, pair_twists
+from .arcs import PunctureConfig, entry_value, pair_twists
 from .braid import Braid, artin_gen, block_full_twist, block_half_twist, delta
 from .factorization import COMPOSITE_TAG, EXP_TAG, Factor, Factorization
-from .regeneration import entry_value
 
 
 def _ascend(n: int, k: int) -> Braid:

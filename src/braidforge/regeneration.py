@@ -14,47 +14,22 @@ Factors of the degenerated factorization regenerate by local rules:
 * cusp rule:    a degree-4 factor Z^4_{ij} becomes the three cusps
   (Z^3_{ij})_{rho} . Z^3_{ij} . (Z^3_{ij})_{rho^-1} with rho = Z_{jj'}.
 
-Composition convention.  Printed factor lists are read RIGHT TO LEFT: the
-value of the list [p_1, ..., p_k] is p_k ... p_2 p_1.  All public
-Factorizations returned by this module store their factors in composition
-order (so Factorization.product() is the plain left-to-right product); the
-printed order is the reverse (`_from_printed`).  A printed conjugation
-(A)^{B C} means g.A.g^-1 = A^(g^-1) with g = C.B.  The same parser reads the
-local monodromy tables, and a printed entry has one value: the product of
-its expansion by `entry_factors` (`entry_value`).
-
-The arcs, the ribbon band twists Z^2_{ii',jj'} and the composites D<...>
-are built in `arcs` (`arc_factor`, `band_full_twist`, `composite_twist`),
-whose one drag fixes which side gives which letter sign; this module only
-chooses the sides.
-
-Arc conventions (frozen; every choice is pinned by the exact splitting
-identities Z^2_{ii',j} = Z^2_{i'j} Z^2_{ij} etc., which the doubled local
-models satisfy on the nose -- see the cabling oracle in the tests):
-
-* a split node's longer arc passes the partner member of its own fat end
-  below the line, and the unrelated punctures on the decorated side
-  (below for plain/underlined symbols, above for barred ones);
-* a cusp's base arc ends on the near member of the fat pair;
-* the two branch factors Z_{ij'} and Z_{i'j}, the printed atoms that rule 1
-  reads with `atom_factors`, are the short arc i'->j and the long arc i->j'
-  passing i' above and j below; both are conjugated by the transported
-  conjugator of the line they regenerate (the printed lists drop this
-  common conjugation).
+The rules read their printed lists, sides and split lists through `arcs`,
+whose docstring states those conventions; every Factorization this module
+returns is in composition order.
 """
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from itertools import chain
 
-from .arcs import (ABOVE, BELOW, PunctureConfig, arc_factor, band_full_twist,
-                   composite_twist, pair_twists)
+from .arcs import (PunctureConfig, _from_printed, atom_factors, cusp_factors,
+                   formula_factors, node_factors, pair_twists)
 from .braid import Braid, artin_gen, delta_squared
 from .data import golden_json
 from .degeneration import phi8
-from .factorization import (COMPOSITE_TAG, EXP_TAG, Factor, Factorization,
+from .factorization import (COMPOSITE_TAG, Factor, Factorization,
                             _vertex_split, _where, transport_heads)
 # the one label pattern, and the audit that reads it (still importable here)
 from .verify import _LABEL, regen_audit  # noqa: F401
@@ -123,67 +98,6 @@ def doubled_labels(labels) -> list:
 
 
 # ---------------------------------------------------------------------------
-# regeneration rules as factor lists (printed order; reverse to compose)
-
-
-def node_factors(cfg: PunctureConfig, end_a, end_b,
-                 side: str = BELOW, label: str = "") -> list:
-    """Second rule, printed order.
-
-    Z^2_{ii',j} -> Z^2_{i'j} . Z^2_{ij}   (fat left:  short printed first)
-    Z^2_{i,jj'} -> Z^2_{ij'} . Z^2_{ij}   (fat right: long printed first)
-    A fat-fat twist stays one band factor, a thin-thin twist a plain node.
-    """
-    fat_a = not isinstance(end_a, str)
-    fat_b = not isinstance(end_b, str)
-    if fat_a and fat_b:
-        tw = band_full_twist(cfg, end_a, end_b, side)
-        return [Factor(tw, 1, "composite",
-                       label=f"{label}Z2[{end_a[0]}{end_a[1]},{end_b[0]}{end_b[1]}]")]
-    if not fat_a and not fat_b:
-        return [arc_factor(cfg, end_a, end_b, 2, "node", side,
-                           label=f"{label}Z2[{end_a},{end_b}]")]
-    # the longer arc passes the partner member of its fat end below
-    if fat_a:
-        (i, ip), j = end_a, end_b
-        return [arc_factor(cfg, ip, j, 2, "node", side,
-                           label=f"{label}Z2[{ip},{j}]"),
-                arc_factor(cfg, i, j, 2, "node", side,
-                           () if side == BELOW else (ip,),
-                           label=f"{label}Z2[{i},{j}]")]
-    i, (j, jp) = end_a, end_b
-    return [arc_factor(cfg, i, jp, 2, "node", side,
-                       () if side == BELOW else (j,),
-                       label=f"{label}Z2[{i},{jp}]"),
-            arc_factor(cfg, i, j, 2, "node", side, label=f"{label}Z2[{i},{j}]")]
-
-
-def cusp_factors(cfg: PunctureConfig, end_a, end_b,
-                 side: str = BELOW, label: str = "") -> list:
-    """Third rule, printed order:
-    (Z^3)_{rho} . Z^3 . (Z^3)_{rho^-1}, rho the fat pair's half twist.
-
-    The base arc joins the thin end to the near member of the fat pair.
-    """
-    fat_a = not isinstance(end_a, str)
-    if fat_a == (not isinstance(end_b, str)):
-        raise ValueError("a cusp triple needs exactly one fat end")
-    if fat_a:
-        pair, single = end_a, end_b
-        a, b = pair[1], single          # near member is the right one
-    else:
-        pair, single = end_b, end_a
-        a, b = single, pair[0]          # near member is the left one
-    rho = pair_twists(cfg, [pair])
-
-    def z3(suffix):
-        return arc_factor(cfg, a, b, 3, "cusp", side,
-                          label=f"{label}Z3[{a},{b}]{suffix}")
-    return [z3("_rho").conjugate(rho.inverse()), z3(""),
-            z3("_rho-").conjugate(rho)]
-
-
-# ---------------------------------------------------------------------------
 # rule interface on factors of a base (undoubled) configuration
 
 
@@ -203,11 +117,6 @@ def _factor_ends(dm: DoublingMap, f: Factor):
         raise ValueError(f"factor {f!r} is not a half twist")
     moved = f.twist.moved_slots()
     return dm.base.label_at(moved[0]), dm.base.label_at(moved[1])
-
-
-def _from_printed(n: int, printed) -> Factorization:
-    """A printed factor list (read right to left) in composition order."""
-    return Factorization(n, reversed(printed))
 
 
 def regen_rule1(f: Factor, dm: DoublingMap) -> Factorization:
@@ -248,140 +157,6 @@ def regen_rule3(f: Factor, dm: DoublingMap) -> Factorization:
         raise ValueError(f"rule 3 needs exponent 4, got {f.exponent}")
     i, j = _factor_ends(dm, f)
     return _from_printed(dm.doubled.n, cusp_factors(dm.doubled, i, (j, f"{j}'")))
-
-
-# ---------------------------------------------------------------------------
-# the printed Z/D notation (regenerated lists and local monodromy tables)
-#
-# Atom:   Z | Zu (below) | Zb (above), optional m (negative), exponent digit,
-#         [END,END] with END = "3" | "3'" | "33'" (close pair); an END that
-#         names a puncture is that puncture ("11'" among 11 doubled lines);
-#         or D<digit><a,b,c,...>, the composite twist of the named punctures.
-# Factor: ATOM or ATOM^{TOK TOK ...}; TOK is an atom, "rho" or "rho-".
-
-_RATOM = re.compile(r"Z(u|b)?(m)?(\d)\[([^,\]]+),([^,\]]+)\]$")
-_DATOM = re.compile(r"D(\d)<([^>]+)>$")
-
-
-def _parse_end(cfg: PunctureConfig, tok: str):
-    tok = tok.strip()
-    if tok not in cfg.punctures:
-        m = re.fullmatch(r"(.+)\1'", tok)
-        if m:
-            return (m.group(1), f"{m.group(1)}'")
-    return tok
-
-
-def _atom_parts(cfg: PunctureConfig, text: str):
-    """(side, exponent, end_a, end_b) of a printed Z atom."""
-    m = _RATOM.match(text)
-    if not m:
-        raise ValueError(f"bad printed atom {text!r}")
-    side = ABOVE if m.group(1) == "b" else BELOW
-    exp = int(m.group(3)) * (-1 if m.group(2) else 1)
-    return side, exp, _parse_end(cfg, m.group(4)), _parse_end(cfg, m.group(5))
-
-
-def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
-    """Value of one printed atom (`entry_value`); an m exponent inverts it."""
-    text = text.strip()
-    m = _RATOM.match(text)
-    if m and m.group(2):
-        # the m follows Z, Zu or Zb, so it is the atom's first m
-        return entry_value(cfg, text.replace("m", "", 1)).inverse()
-    return entry_value(cfg, text)
-
-
-def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
-    """Expand one printed atom into its factor list (printed order)."""
-    text = text.strip()
-    m = _DATOM.match(text)
-    if m:
-        try:
-            tw = composite_twist(cfg, m.group(2).split(","))
-        except ValueError as err:
-            raise ValueError(f"atom {text!r}: {err}") from None
-        return [Factor(tw, int(m.group(1)), COMPOSITE_TAG,
-                       label=f"{label}{text}")]
-    side, exp, ea, eb = _atom_parts(cfg, text)
-    thin = isinstance(ea, str) and isinstance(eb, str)
-    if exp == 1 and thin:
-        # a single branch factor; the arc passes the partner of its first end
-        # above (the long arc Z_{ij'}) and the other punctures on `side`
-        partner = () if side == ABOVE else (f"{ea}'",)
-        return [arc_factor(cfg, ea, eb, 1, "branch", side, partner,
-                           label=f"{label}{text}")]
-    if exp == 2:
-        return node_factors(cfg, ea, eb, side, label)
-    if exp == 3 and not thin:
-        return cusp_factors(cfg, ea, eb, side, label)
-    if exp in (3, 4):
-        return [arc_factor(cfg, ea, eb, exp, EXP_TAG[exp], side,
-                           label=f"{label}{text}")]
-    raise ValueError(f"atom {text!r} cannot stand as a factor")
-
-
-def _conjugator(cfg: PunctureConfig, tokens, rho: Braid | None) -> Braid:
-    """g for a printed ^{B C ...}: the atom values multiplied right to left."""
-    g = Braid(cfg.n)
-    for tok in tokens:
-        if tok in ("rho", "rho-"):
-            if rho is None:
-                raise ValueError("rho token without a rho braid")
-            v = rho if tok == "rho" else rho.inverse()
-        else:
-            v = parse_regen_atom(cfg, tok)
-        g = v * g
-    return g
-
-
-def _split_entry(text: str):
-    """(atom, conjugator tokens) of a printed factor ATOM^{...}."""
-    text = text.strip()
-    if text.startswith("(") and ")^" in text:
-        base, conj = text[1:].rsplit(")^", 1)
-    elif "^" in text:
-        base, conj = text.split("^", 1)
-    else:
-        base, conj = text, ""
-    return base.strip(), conj.strip().strip("{}").split()
-
-
-def entry_value(cfg: PunctureConfig, text: str, rho: Braid | None = None) -> Braid:
-    """Value of a printed factor ATOM^{...}: the product of its expansion."""
-    return _from_printed(cfg.n, entry_factors(cfg, text, rho)).product()
-
-
-def entry_factors(cfg: PunctureConfig, text: str,
-                  rho: Braid | None = None, label: str = "") -> list:
-    """Expand a printed factor ATOM^{...} (printed order)."""
-    base, tokens = _split_entry(text)
-    factors = atom_factors(cfg, base, label)
-    if not tokens:
-        return factors
-    gi = _conjugator(cfg, tokens, rho).inverse()
-    return [f.conjugate(gi) for f in factors]
-
-
-def formula_factors(labels, entries, rho_pairs=None,
-                    branch_conj=()) -> Factorization:
-    """Expand a printed factor list over doubled labels.
-
-    The returned Factorization is in composition order (printed reversed).
-    branch_conj, if given, is the printed conjugator applied to every plain
-    degree-1 entry (the printed lists omit it).
-    """
-    cfg = PunctureConfig(labels)
-    rho = pair_twists(cfg, rho_pairs) if rho_pairs else None
-    gbi = (_conjugator(cfg, list(branch_conj), rho).inverse()
-           if branch_conj else None)
-    printed = []
-    for e in entries:
-        fs = entry_factors(cfg, e, rho)
-        if gbi is not None and len(fs) == 1 and fs[0].exponent == 1 and "^" not in e:
-            fs = [fs[0].conjugate(gbi)]
-        printed.extend(fs)
-    return _from_printed(cfg.n, printed)
 
 
 # ---------------------------------------------------------------------------

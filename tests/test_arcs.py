@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, _drag, arc_factor,
-                             arc_twist, band_full_twist, composite_twist)
+                             arc_twist, band_full_twist, composite_twist,
+                             node_factors)
 from braidforge.braid import Braid, artin_gen, block_half_twist
 from braidforge.factorization import Factor, Factorization, conj_factorization
 
@@ -73,6 +74,17 @@ def test_arc_endpoints_are_checked(cfg):
         arc_twist(cfg, "2", "2")
     with pytest.raises(KeyError):
         arc_twist(cfg, "1", "9")
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg: arc_twist(cfg, "1", "3", "sideways"),
+    lambda cfg: band_full_twist(cfg, ("1", "1'"), "3", "sideways"),
+    lambda cfg: node_factors(cfg, ("1", "1'"), ("3", "3'"), "sideways")],
+    ids=["arc_twist", "band_full_twist", "node_factors"])
+def test_a_side_other_than_below_or_above_is_refused(build):
+    cfg = PunctureConfig(["1", "1'", "2", "2'", "3", "3'"])
+    with pytest.raises(ValueError, match="^bad side 'sideways'$"):
+        build(cfg)
 
 
 def test_mirror_swaps_sides(cfg):

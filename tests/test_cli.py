@@ -205,8 +205,41 @@ def test_regen_audit_reads_complex_conjugated_labels(tmp_path, capsys):
             "126, 126, 126, 126, 126])\n") in capsys.readouterr().out
 
 
-def test_goldens_replay():
+_ENGINE_DEGREES = [2] * 3 + [4] * 30
+_PRINTED_DEGREES = [1] * 6 + [2] * 24 + [3] * 24
+
+
+def _hv_line(j, engine, printed):
+    return (f"local monodromy V{j} diff: factor count: engine 33, printed 54; "
+            f"degree multiset: engine {_ENGINE_DEGREES}, printed "
+            f"{_PRINTED_DEGREES}; factor 1: engine V{j}:Delta2<{engine}>|H1 "
+            f"(deg 4, branch) vs printed {printed}")
+
+
+# the whole stdout of `forge goldens`: the diff lines hold the degrees of the
+# printed local monodromies, which the printed-notation evaluator computes
+_GOLDENS_OUT = [
+    _hv_line(1, "1,2,4,6,13,22", "Z1[1',2] (deg 1, branch)"),
+    _hv_line(4, "4,5,8,11,15,19", "Z2[1,5] (deg 2, node)"),
+    _hv_line(7, "13,14,15,16,21,26", "Z1[5',6] (deg 1, branch)"),
+    "[pass   ] parasitic index sets and markers match transcription (27 lists)",
+    "[pass   ] table v1_conic_a: 6 rows match",
+    "[pass   ] table v1_conic_b: 6 rows match",
+    "[pass   ] table v1_hyperbola: 20 rows match",
+    "[pass   ] table v4_conic_a: 6 rows match",
+    "[pass   ] table v4_conic_b: 6 rows match",
+    "[pass   ] table v7_conic_a: 6 rows match",
+    "[pass   ] table v7_conic_b: 6 rows match",
+    "[pass   ] table v7_hyperbola: 20 rows match",
+    "[pass   ] doubled local identity fhat_a",
+    "[pass   ] doubled local identity fhat_b",
+    "[pass   ] doubled local identity fhat_c",
+]
+
+
+def test_goldens_replay(capsys):
     assert main(["goldens"]) == 0
+    assert capsys.readouterr().out.splitlines() == _GOLDENS_OUT
 
 
 def _golden_runs(capsys):
@@ -468,17 +501,21 @@ def _sha256(path) -> str:
 def test_commands_load_only_the_engines_they_run(tmp_path):
     """Each forge call is a fresh interpreter: without --report none hashes,
     nothing reads exact fractions, degen loads no regeneration or Lefschetz
-    engine and regen no Lefschetz engine."""
+    engine, regen no Lefschetz engine and table neither the regeneration nor
+    the degeneration engine."""
     never = {"hashlib", "fractions"}
     steps = (["degen", "phi8", "--out", "A.json"],
              ["regen", "run", "--in", "A.json", "--out", "B.json"],
              ["verify", "B.json"],
+             ["table", "v1_conic_a"],
              ["goldens"])
     loaded = {args[0]: _fresh_run(tmp_path, args) for args in steps}
     for cmd, mods in loaded.items():
         assert not mods & never, cmd
     assert not loaded["degen"] & {"braidforge.regeneration",
                                   "braidforge.lefschetz"}
+    assert not loaded["table"] & {"braidforge.regeneration",
+                                  "braidforge.degeneration"}
     assert "braidforge.lefschetz" not in loaded["regen"]
     assert "braidforge.regeneration" in loaded["regen"]
 

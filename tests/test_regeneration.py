@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, arc_twist,
-                             band_full_twist, pair_twists)
+from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, _atom_parts,
+                             _from_printed, arc_twist, atom_factors,
+                             band_full_twist, node_factors, pair_twists,
+                             parse_regen_atom)
 from braidforge.braid import Braid, artin_gen, block_full_twist, delta_squared
 from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
 from braidforge.factorization import conj_factorization
-from braidforge.regeneration import (DoublingMap, _atom_parts, _from_printed,
-                                     atom_factors, cable, cable_word,
+from braidforge.regeneration import (DoublingMap, cable, cable_word,
                                      conic_identity, conic_tables,
                                      doubled_labels, hv_diff, hv_paper_factors,
-                                     node_factors, parse_regen_atom,
                                      partial_cable, regen_audit, regen_rule1,
                                      regen_rule2, regen_rule3)
 from braidforge.regeneration import _branch_assignment, conic_monodromy, regenerate
