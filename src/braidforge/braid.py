@@ -18,7 +18,8 @@ its docstring).
 from __future__ import annotations
 
 import re
-from itertools import compress, count, islice, repeat
+from functools import lru_cache
+from itertools import chain, compress, count, islice, repeat
 from operator import add, lt, neg
 
 
@@ -551,3 +552,33 @@ def delta_squared(n: int) -> Braid:
     if n < 2:
         raise ValueError("full twist needs n >= 2")
     return block_full_twist(n, 1, n)
+
+
+# ---------------------------------------------------------------------------
+# 2-cabling
+
+
+@lru_cache(maxsize=None)
+def _ribbon_crossings(n: int) -> dict:
+    """Letter of B_n -> the four letters of its ribbon crossing in B_2n."""
+    table = {}
+    for k in range(1, n):
+        w = (2 * k, 2 * k + 1, 2 * k - 1, 2 * k)
+        table[k] = w
+        table[-k] = tuple(-x for x in reversed(w))
+    return table
+
+
+def cable_word(n: int, word) -> list:
+    """Image of a braid word of B_n under the 2-cabling into B_2n."""
+    return list(chain.from_iterable(map(_ribbon_crossings(n).__getitem__, word)))
+
+
+def cable(b: Braid) -> Braid:
+    """The 2-cabling homomorphism B_n -> B_2n (no internal ribbon twist).
+
+    The cable of a freely reduced word is freely reduced: no letter cancels
+    inside a crossing's four letters, and the cables of sigma_k and
+    sigma_j^-1 cancel at a join only when j == k.
+    """
+    return Braid._reduced(2 * b.n, tuple(cable_word(b.n, b.word)))

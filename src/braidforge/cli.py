@@ -1,8 +1,9 @@
 """Command-line front door: build, regenerate, verify, audit, export.
 
 Subcommands: degen, regen, table, verify, relations, goldens.
-JSON is the only interchange format; all runs are deterministic and emit a
-RunManifest alongside requested artifacts.
+JSON is the only interchange format, and all runs are deterministic; a
+--report writes the VerificationReport with a RunManifest of the files read
+and written.
 
 Each command imports the engines it runs, because every `forge` call is a
 fresh interpreter that would otherwise load and compile all of them first.
@@ -17,8 +18,8 @@ import time
 
 from . import __version__
 from .factorization import Factorization
-from .verify import (VerificationReport, check_full_twist, emit_relations,
-                     regen_audit)
+from .verify import (VerificationReport, check_full_twist, check_refinement,
+                     emit_relations, regen_audit)
 
 
 class RunManifest:
@@ -75,11 +76,12 @@ def _write(path: str, text: str, manifest: RunManifest):
 
 
 def _emit_report(rep: VerificationReport, args, manifest: RunManifest,
-                 fz: Factorization | None = None) -> int:
-    """Print the checks and write --report; a certificate fz first gets its
-    --identity checks and is written to --out."""
+                 fz: Factorization | None = None,
+                 certify=check_full_twist) -> int:
+    """Print the checks and write --report; a certificate fz first gets the
+    checks of certify(fz) under --identity and is written to --out."""
     if fz is not None and args.identity:
-        rep.checks.extend(check_full_twist(fz).checks)
+        rep.checks.extend(certify(fz).checks)
     if fz is not None and args.out:
         _write(args.out, fz.dumps(), manifest)
     for line in rep.lines():
@@ -107,17 +109,28 @@ def cmd_degen(args) -> int:
     return _emit_report(rep, args, manifest, fz)
 
 
+def _failures(rep: VerificationReport) -> str:
+    """The witnesses of rep's failed checks, in one line."""
+    return "; ".join(c["witness"] for c in rep.checks if c["status"] == "fail")
+
+
 def cmd_regen(args) -> int:
-    from .degeneration import build_tt
-    from .regeneration import regenerate
+    from .data import golden_json
+    from .degeneration import build_tt, phi8
+    from .regeneration import hv_diff, hv_paper_factors, regenerate
     manifest = RunManifest("regen")
     src = _load(args.infile, manifest) if args.infile else None
+    g = build_tt()
+    # the input is gated: a certificate read with --in always, the engine's
+    # phi8 when --identity certifies the output against it
+    gated = src is not None or args.identity
+    if src is None:
+        src = phi8(g)
     try:
-        if src is not None and not (gate := check_full_twist(src)).passed:
+        if gated and not (gate := check_full_twist(src)).passed:
             raise ValueError("input factorization differs from Delta^2: "
-                             + "; ".join(c["witness"] for c in gate.checks
-                                         if c["status"] == "fail"))
-        fz = regenerate(build_tt(), src)
+                             + _failures(gate))
+        fz = regenerate(g, src)
     except ValueError as e:
         print(f"forge regen: {e}", file=sys.stderr)
         return 1
@@ -130,7 +143,14 @@ def cmd_regen(args) -> int:
         rep.expect("per-vertex degree", 126, a["per_vertex"])
         print(f"totals: {a['total']} (parasitic {a['parasitic']}, "
               f"per-vertex {sorted(a['per_vertex'].values())})")
-    return _emit_report(rep, args, manifest, fz)
+        # worked-vertex diffs (informational)
+        for name in ("hv1", "hv4", "hv7"):
+            obj = golden_json(f"regen/{name}.json")
+            diff = hv_diff(fz, obj["vertex"], hv_paper_factors(obj))
+            status = "identical" if not diff else "; ".join(diff[:3])
+            print(f"local monodromy V{obj['vertex']} diff: {status}")
+    return _emit_report(rep, args, manifest, fz,
+                        lambda child: check_refinement(src, child))
 
 
 def cmd_table(args) -> int:
@@ -154,7 +174,17 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     manifest = RunManifest("verify")
-    rep = check_full_twist(_load(args.path, manifest))
+    fz = _load(args.path, manifest)
+    if args.refines is None:
+        return _emit_report(check_full_twist(fz), args, manifest)
+    parent = _load(args.refines, manifest)
+    gate = check_full_twist(parent)
+    if gate.passed:
+        rep = check_refinement(parent, fz)
+    else:
+        rep = VerificationReport()
+        rep.add("parent product == Delta^2", False,
+                f"{args.refines}: {_failures(gate)}")
     return _emit_report(rep, args, manifest)
 
 
@@ -178,8 +208,7 @@ def cmd_goldens(args) -> int:
     from .data import golden_json, golden_names
     from .degeneration import build_tt, markers
     from .lefschetz import golden_check
-    from .regeneration import (conic_identity, conic_tables, hv_diff,
-                               hv_paper_factors, regenerate)
+    from .regeneration import conic_identity, conic_tables
     manifest = RunManifest("goldens")
     rep = VerificationReport()
     g = build_tt()
@@ -202,13 +231,6 @@ def cmd_goldens(args) -> int:
         ok = conic_identity(obj)
         rep.add(f"doubled local identity {name}", ok,
                 "" if ok else "full-twist identity fails")
-    # worked-vertex diffs (informational)
-    eng = regenerate(g)
-    for name in ("hv1", "hv4", "hv7"):
-        obj = golden_json(f"regen/{name}.json")
-        diff = hv_diff(eng, obj["vertex"], hv_paper_factors(obj))
-        status = "identical" if not diff else "; ".join(diff[:3])
-        print(f"local monodromy V{obj['vertex']} diff: {status}")
     return _emit_report(rep, args, manifest)
 
 
@@ -229,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     for q in (d, rr):
         q.add_argument("--audit", action="store_true")
         q.add_argument("--identity", action="store_true",
-                       help="also certify the full-twist product")
+                       help="also certify the full-twist product (regen: "
+                       "block by block against its gated input)")
         q.add_argument("--out")
         q.add_argument("--report")
 
@@ -240,6 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="certify a factorization file")
     v.add_argument("path")
+    v.add_argument("--refines", metavar="PARENT",
+                   help="certify the file block by block as a regeneration "
+                   "of the certificate PARENT (on half the strands), whose "
+                   "product is checked first")
     v.add_argument("--report")
     v.set_defaults(fn=cmd_verify)
 
@@ -248,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--out")
     rel.set_defaults(fn=cmd_relations)
 
-    go = sub.add_parser("goldens", help="replay all transcribed goldens")
+    go = sub.add_parser("goldens", help="replay the transcribed parasitic "
+                        "lists, Lefschetz tables and doubled local identities"
+                        " (regen run --audit diffs the worked vertices)")
     go.add_argument("--report")
     go.set_defaults(fn=cmd_goldens)
     return p

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from operator import neg
 
-from .braid import (Braid, artin_gen, block_full_twist, common_suffix,
-                    extend_reduced, from_text, inverse_word, to_text)
+from .braid import (Braid, artin_gen, block_full_twist, cable_word,
+                    common_suffix, extend_reduced, from_text, inverse_word,
+                    to_text)
 
 SINGULARITY_TAGS = {"branch": 1, "node": 2, "cusp": 3, "tangent": 4}
 EXP_TAG = {r: tag for tag, r in SINGULARITY_TAGS.items()}
@@ -248,6 +249,22 @@ def transport_heads(factors):
         w = f.transport.word
         yield f, pw, common_suffix(pw, w)
         pw = w
+
+
+def cabled_transports(n: int, factors):
+    """(factor, cable(t)) for each factor in order, t its transport in B_n.
+
+    Each cable is the cable of the transport's head, then the part of the
+    previous cable that the shared suffix maps to (4 letters a letter), and
+    a transport equal to the previous one gets the same cable."""
+    ct = Braid(2 * n)
+    for f, pw, k in transport_heads(factors):
+        w = f.transport.word
+        if k < len(w) or k < len(pw):
+            cw = ct.word
+            ct = Braid._reduced(2 * n, tuple(cable_word(n, w[:len(w) - k]))
+                                + cw[len(cw) - 4 * k:])
+        yield f, ct
 
 
 class Factorization:

@@ -21,48 +21,20 @@ returns is in composition order.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
-
 from .arcs import (PunctureConfig, _from_printed, atom_factors, cusp_factors,
                    formula_factors, node_factors, pair_twists)
-from .braid import Braid, artin_gen, delta_squared
+# cable_word is still importable here
+from .braid import Braid, artin_gen, cable, cable_word, delta_squared  # noqa: F401
 from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, Factor, Factorization,
-                            _vertex_split, _where, transport_heads)
+                            _vertex_split, _where, cabled_transports)
 # the one label pattern, and the audit that reads it (still importable here)
 from .verify import _LABEL, regen_audit  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# 2-cabling
-
-
-@lru_cache(maxsize=None)
-def _ribbon_crossings(n: int) -> dict:
-    """Letter of B_n -> the four letters of its ribbon crossing in B_2n."""
-    table = {}
-    for k in range(1, n):
-        w = (2 * k, 2 * k + 1, 2 * k - 1, 2 * k)
-        table[k] = w
-        table[-k] = tuple(-x for x in reversed(w))
-    return table
-
-
-def cable_word(n: int, word) -> list:
-    """Image of a braid word of B_n under the 2-cabling into B_2n."""
-    return list(chain.from_iterable(map(_ribbon_crossings(n).__getitem__, word)))
-
-
-def cable(b: Braid) -> Braid:
-    """The 2-cabling homomorphism B_n -> B_2n (no internal ribbon twist).
-
-    The cable of a freely reduced word is freely reduced: no letter cancels
-    inside a crossing's four letters, and the cables of sigma_k and
-    sigma_j^-1 cancel at a join only when j == k.
-    """
-    return Braid._reduced(2 * b.n, tuple(cable_word(b.n, b.word)))
+# 2-cabling of some strands (`braid.cable` cables them all)
 
 
 def partial_cable(b: Braid, widths) -> tuple:
@@ -249,15 +221,7 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
                          f"arrangement has {n} lines")
     lines_of = _branch_assignment(g)
     out, pairs, seen = [], [], {}
-    # cable(t) of each transport t: the cable of its head, then the part of
-    # the previous cable that the shared suffix maps to (4 letters a letter)
-    ct = Braid(2 * n)
-    for i, (f, pw, k) in enumerate(transport_heads(fz.factors), 1):
-        w = f.transport.word
-        if k < len(w) or k < len(pw):
-            cw = ct.word
-            ct = Braid._reduced(2 * n, tuple(cable_word(n, w[:len(w) - k]))
-                                + cw[len(cw) - 4 * k:])
+    for i, (f, ct) in enumerate(cabled_transports(n, fz.factors), 1):
         if f.tag != COMPOSITE_TAG:
             out.append(Factor(cable(f.core), f.exponent, f.tag, ct, f.label))
             continue

@@ -1,5 +1,7 @@
-"""Certification toolkit: product checks, Hurwitz-equivalence search,
-factor census, degree audit by label, and van Kampen relation templates.
+"""Certification toolkit: product checks (multiplied out, or block by
+block against the certificate a regeneration refines), Hurwitz-equivalence
+search, factor census, degree audit by label, and van Kampen relation
+templates.
 """
 
 from __future__ import annotations
@@ -8,8 +10,9 @@ import re
 import time
 from collections import deque
 
-from .braid import delta_squared
-from .factorization import COMPOSITE_TAG, Factorization, _vertex_split, _where
+from .braid import Braid, cable, delta_squared, extend_reduced, inverse_word
+from .factorization import (COMPOSITE_TAG, Factorization, _vertex_split,
+                            _where, cabled_transports)
 
 
 class VerificationReport:
@@ -57,15 +60,11 @@ def check_full_twist(f: Factorization) -> VerificationReport:
     n = f.strands
     t0 = time.perf_counter()
     want = n * (n - 1)
-    got = f.degree
-    rep.totals["degree"] = got
-    rep.add("degree == n(n-1)", got == want,
-            "" if got == want else f"degree {got}, expected {want} "
-            f"(deficit {want - got})")
-    if got != want:
+    if not _check_degree(rep, f):
         # the degree is a homomorphism, so the product is not Delta^2 either
         rep.add("product == Delta^2", False,
-                f"not computed: degree {got} is not {want}", skipped=True)
+                f"not computed: degree {rep.totals['degree']} is not {want}",
+                skipped=True)
     elif (prod := f.product()) == (full := delta_squared(n)):
         rep.add("product == Delta^2", True)
     else:
@@ -76,6 +75,103 @@ def check_full_twist(f: Factorization) -> VerificationReport:
                 f"normal form inf {inf} with {len(facs)} factors")
     rep.runtime["check_full_twist"] = time.perf_counter() - t0
     return rep
+
+
+def _check_degree(rep: VerificationReport, f: Factorization) -> bool:
+    """The check degree(f) == n(n-1), its witness naming the deficit."""
+    n = f.strands
+    want, got = n * (n - 1), f.degree
+    rep.totals["degree"] = got
+    rep.add("degree == n(n-1)", got == want,
+            "" if got == want else f"degree {got}, expected {want} "
+            f"(deficit {want - got})")
+    return got == want
+
+
+def check_refinement(parent: Factorization,
+                     child: Factorization) -> VerificationReport:
+    """Pass iff the child, on 2n strands, refines the parent, on n, block
+    by block; with product(parent) == Delta^2_n, which the caller certifies
+    first (`check_full_twist`), that proves product(child) == Delta^2_2n.
+
+    The child is read as one block per parent factor, in order, and a
+    closing tail.  The block of a parent factor t^-1 . core^e . t is the
+    next child factors up to the degree of cable(core^e), at least one.
+    Each must have a transport h . cable(t), by word suffix, and the
+    block's product with cable(t) removed, the product of the factors
+    h^-1 . core'^e' . h, must be cable(core^e), decided once per distinct
+    identity by normal form.  The block's product is then the cable of the
+    parent factor, as cable is a homomorphism, so the child's product is
+    cable(Delta^2_n) times the tail's, which must be Delta^2_2n.
+
+    Labels play no part: a grouping that passes every check proves the
+    product, and a wrong one fails a check.  A failure names the parent
+    factor (1-based index and label) and the first child factor of the bad
+    block.  A child on another number of strands than 2n fails in one
+    check.
+    """
+    rep = VerificationReport()
+    n, m = parent.strands, child.strands
+    if m != 2 * n:
+        rep.add("strands == 2n", False, f"child on {m} strands, parent on "
+                f"{n}: a refinement has {2 * n}")
+        return rep
+    t0 = time.perf_counter()
+    _check_degree(rep, child)
+    witness = _refinement_witness(parent, child)
+    rep.add("product == Delta^2", witness is None, witness or "")
+    rep.runtime["check_refinement"] = time.perf_counter() - t0
+    return rep
+
+
+def _refinement_witness(parent: Factorization, child: Factorization):
+    """The first failing check of `check_refinement`, or None."""
+    n, kids = parent.strands, child.factors
+    decided = {}   # (local word, core word, exponent) -> verdict
+    j, where = 0, ""
+    for i, (pf, ct) in enumerate(cabled_transports(n, parent.factors), 1):
+        where = f"parent {_where(i, pf)}"
+        if j == len(kids):
+            return f"{where}: the child ends before its block"
+        block = f"{where}, block from child {_where(j + 1, kids[j])}"
+        c, target = ct.word, 4 * pf.degree
+        local, deg, start, u = [], 0, j, None
+        while j < len(kids) and (j == start or deg < target):
+            f = kids[j]
+            # a transport shared with the previous factor is checked once
+            if f.transport.word is not u:
+                u = f.transport.word
+                k = len(u) - len(c)
+                if k < 0 or u[k:] != c:
+                    return (f"{block}: the transport of child "
+                            f"{_where(j + 1, f)} does not end with cable(t), "
+                            "t the parent's")
+                h = u[:k]
+            extend_reduced(local, inverse_word(h))
+            extend_reduced(local, (f.core ** f.exponent).word)
+            extend_reduced(local, h)
+            deg += f.degree
+            j += 1
+        if deg != target:
+            return (f"{block}: its {j - start} factors have degree {deg}, "
+                    f"cable(core^{pf.exponent}) has {target}")
+        key = (tuple(local), pf.core.word, pf.exponent)
+        if key not in decided:
+            decided[key] = (Braid._reduced(2 * n, key[0])
+                            == cable(pf.core ** pf.exponent))
+        if not decided[key]:
+            return (f"{block}: its product with cable(t) removed is not "
+                    f"cable(core^{pf.exponent})")
+    tail = kids[j:]
+    where = "closing tail" + (f" after {where}" if where else "") + (
+        f", from child {_where(j + 1, tail[0])}" if tail else ", empty")
+    # the left-greedy normal form of Delta^2 is Delta^2 itself
+    inf, facs = (cable(delta_squared(n))
+                 * Factorization._of(2 * n, tail).product()).normal_form()
+    if inf != 2 or facs:
+        return (f"{where}: cable(Delta^2_{n}) times its product is not "
+                f"Delta^2_{2 * n}")
+    return None
 
 
 # a label D<t>: (parasitic, line t) or V<j>: (vertex j), after one ~ per

@@ -216,12 +216,8 @@ def _hv_line(j, engine, printed):
             f"(deg 4, branch) vs printed {printed}")
 
 
-# the whole stdout of `forge goldens`: the diff lines hold the degrees of the
-# printed local monodromies, which the printed-notation evaluator computes
+# the whole stdout of `forge goldens`
 _GOLDENS_OUT = [
-    _hv_line(1, "1,2,4,6,13,22", "Z1[1',2] (deg 1, branch)"),
-    _hv_line(4, "4,5,8,11,15,19", "Z2[1,5] (deg 2, node)"),
-    _hv_line(7, "13,14,15,16,21,26", "Z1[5',6] (deg 1, branch)"),
     "[pass   ] parasitic index sets and markers match transcription (27 lists)",
     "[pass   ] table v1_conic_a: 6 rows match",
     "[pass   ] table v1_conic_b: 6 rows match",
@@ -240,6 +236,116 @@ _GOLDENS_OUT = [
 def test_goldens_replay(capsys):
     assert main(["goldens"]) == 0
     assert capsys.readouterr().out.splitlines() == _GOLDENS_OUT
+
+
+def test_regen_audit_diffs_the_worked_vertices(tmp_path, capsys):
+    """The whole stdout of `regen run --in A.json --audit`: the diff lines
+    hold the degrees of the printed local monodromies, which the
+    printed-notation evaluator computes, and stay informational (exit 0)."""
+    path = tmp_path / "A.json"
+    path.write_text(phi8(build_tt()).dumps())
+    assert main(["regen", "run", "--in", str(path), "--audit"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "totals: 2862 (parasitic 1728, per-vertex [126, 126, 126, 126, 126, "
+        "126, 126, 126, 126])",
+        _hv_line(1, "1,2,4,6,13,22", "Z1[1',2] (deg 1, branch)"),
+        _hv_line(4, "4,5,8,11,15,19", "Z2[1,5] (deg 2, node)"),
+        _hv_line(7, "13,14,15,16,21,26", "Z1[5',6] (deg 1, branch)"),
+        "[pass   ] total degree == 2862",
+        "[pass   ] parasitic degree == 1728",
+        "[pass   ] per-vertex degree == 126"]
+
+
+def _certificates(tmp_path):
+    """A.json and B.json, as `degen phi8 --out` and `regen run --in` write
+    them."""
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    assert main(["degen", "phi8", "--out", str(a)]) == 0
+    assert main(["regen", "run", "--in", str(a), "--out", str(b)]) == 0
+    return a, b
+
+
+def test_regen_identity_certifies_by_refinement(tmp_path, capsys,
+                                                monkeypatch):
+    """`regen run --identity` checks the 54-strand output block by block
+    against its gated input, with or without --in: the only full-twist
+    check multiplies out the 27-strand input."""
+    import braidforge.cli as cli
+    a, _ = _certificates(tmp_path)
+    capsys.readouterr()
+    sizes = []
+    real = cli.check_full_twist
+
+    def counted(fz):
+        sizes.append(fz.strands)
+        return real(fz)
+    monkeypatch.setattr(cli, "check_full_twist", counted)
+    for argv in (["--in", str(a)], []):
+        assert main(["regen", "run", "--identity"] + argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[pass   ] degree == n(n-1)", "[pass   ] product == Delta^2"]
+    assert sizes == [27, 27]
+
+
+def test_verify_refines(tmp_path, capsys):
+    a, b = _certificates(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(b), "--refines", str(a)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[pass   ] degree == n(n-1)", "[pass   ] product == Delta^2"]
+
+
+def test_verify_refines_names_two_swapped_blocks(tmp_path, capsys):
+    """B.json's first two factors, the blocks of A.json's first two
+    parasitic factors, swapped."""
+    a, b = _certificates(tmp_path)
+    child = Factorization.loads(b.read_text())
+    fs = list(child.factors)
+    fs[0], fs[1] = fs[1], fs[0]
+    b.write_text(Factorization(54, fs).dumps())
+    parent = Factorization.loads(a.read_text())
+    capsys.readouterr()
+    assert main(["verify", str(b), "--refines", str(a)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "[pass   ] degree == n(n-1)"
+    assert out[1].startswith(
+        f"[fail   ] product == Delta^2  -- parent factor 1 "
+        f"{parent.factors[0].label!r}, block from child factor 1 "
+        f"{fs[0].label!r}: ")
+    assert main(["verify", str(b)]) == 1
+
+
+def test_verify_refines_a_parent_that_is_not_delta2(tmp_path, capsys):
+    a, b = _certificates(tmp_path)
+    parent = Factorization.loads(a.read_text())
+    a.write_text(Factorization(27, parent.factors[1:]).dumps())
+    capsys.readouterr()
+    assert main(["verify", str(b), "--refines", str(a)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"[fail   ] parent product == Delta^2  -- {a}: degree 700, "
+        "expected 702 (deficit 2)"]
+
+
+def test_verify_refines_needs_twice_the_strands(tmp_path, capsys):
+    a, _ = _certificates(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(a), "--refines", str(a)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[fail   ] strands == 2n  -- child on 27 strands, parent on 27: "
+        "a refinement has 54"]
+
+
+def test_verify_refines_an_unreadable_file_is_a_usage_error(tmp_path,
+                                                             capsys):
+    a, b = _certificates(tmp_path)
+    bad = tmp_path / "truncated.json"
+    bad.write_text(a.read_text()[:40])
+    for argv in ([b, "--refines", tmp_path / "absent.json"],
+                 [b, "--refines", bad], [bad, "--refines", a]):
+        capsys.readouterr()
+        assert main(["verify"] + [str(x) for x in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("forge verify: ") and err.count("\n") == 1
 
 
 def _golden_runs(capsys):

@@ -3,14 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidforge import verify
 from braidforge.braid import Braid, artin_gen, block_full_twist, delta_squared
 from braidforge.factorization import (Factor, Factorization,
-                                      frame_factorization, hurwitz_move)
+                                      conj_factorization, frame_factorization,
+                                      hurwitz_move)
+from braidforge.regeneration import regenerate
 from braidforge.verify import (VerificationReport, artin_census,
-                               check_full_twist, emit_relations,
-                               hurwitz_equivalent)
+                               check_full_twist, check_refinement,
+                               emit_relations, hurwitz_equivalent)
 
 
 def test_expect_names_the_wanted_value_and_what_came():
@@ -133,3 +137,211 @@ def test_emit_relations_refuses_a_vertex_composite_squared():
     with pytest.raises(ValueError, match="a vertex factor has exponent 1, "
                        "got 2$"):
         emit_relations(fz)
+
+
+# ---------------------------------------------------------------------------
+# refinement: the 54-strand certificate against the 27-strand one
+
+
+def _block_starts(parent):
+    """The 1-based index of each parent factor's first child factor in its
+    regeneration (a vertex composite regenerates to 30 frame letters), and
+    that of the first closing pair twist."""
+    starts, j = [], 1
+    for f in parent.factors:
+        starts.append(j)
+        j += 30 if f.tag == "composite" else 1
+    return starts, j
+
+
+def _commute(x, y) -> bool:
+    return x * y == y * x
+
+
+def _controls(parent, child) -> dict:
+    """name -> (broken child, the start of the witness it must fail with):
+    the parent factor's index and label and the first child factor of the
+    bad block.  Each control also changes the product or the degree."""
+    starts, tail = _block_starts(parent)
+    kids = list(child.factors)
+    pfs = parent.factors
+    s1 = artin_gen(child.strands, 1)
+
+    def edit(fn, i):
+        """The child edited by fn, and the witness of parent factor i."""
+        out = list(kids)
+        fn(out)
+        first = starts[i - 1]
+        return Factorization(child.strands, out), (
+            f"parent factor {i} {pfs[i - 1].label!r}, block from child "
+            f"factor {first} {out[first - 1].label!r}")
+
+    out = {}
+    # one frame letter of the first vertex block squared
+    v = next(i for i, f in enumerate(pfs, 1) if f.tag == "composite")
+    j = starts[v - 1] + 4
+    f = kids[j - 1]
+    out["exponent"] = edit(lambda o: o.__setitem__(
+        j - 1, Factor(f.core, 2, "node", f.transport, f.label)), v)
+    # the first block factor that sigma_1 moves, conjugated by it (a cabled
+    # parasitic factor is pure, so it commutes with sigma_1: a frame letter)
+    c, j = next((i, j) for i, f in enumerate(pfs, 1) if f.tag == "composite"
+                for j in range(starts[i - 1], starts[i - 1] + 30)
+                if not _commute(kids[j - 1].braid(), s1))
+    out["conjugated"] = edit(lambda o: o.__setitem__(
+        j - 1, kids[j - 1].conjugate(s1)), c)
+    # two adjacent one-factor blocks that do not commute, swapped
+    w = next(i for i in range(1, len(pfs))
+             if pfs[i - 1].tag != "composite" and pfs[i].tag != "composite"
+             and not _commute(kids[starts[i - 1] - 1].braid(),
+                              kids[starts[i] - 1].braid()))
+    a = starts[w - 1] - 1
+
+    def swap(o):
+        o[a], o[a + 1] = o[a + 1], o[a]
+    out["swapped"] = edit(swap, w)
+    # the last closing pair twist dropped
+    last = len(pfs)
+    out["pair twist"] = (Factorization(child.strands, kids[:-1]),
+                         f"closing tail after parent factor {last} "
+                         f"{pfs[-1].label!r}, from child factor {tail} "
+                         f"{kids[tail - 1].label!r}")
+    # the last frame letter of a vertex block deleted, and its label given
+    # to the factor after it, so the labels still show 30 frame letters
+    end = starts[v - 1] + 29
+
+    def mislabel(o):
+        g = o.pop(end - 1)
+        h = o[end - 1]
+        o[end - 1] = Factor(h.core, h.exponent, h.tag, h.transport, g.label)
+    out["labels"] = edit(mislabel, v)
+    return out
+
+
+def _witness(rep) -> str:
+    (product,) = [c for c in rep.checks if c["name"] == "product == Delta^2"]
+    return product["witness"]
+
+
+def test_refinement_passes_on_the_regeneration(phi8_fz, regen_fz):
+    rep = check_refinement(phi8_fz, regen_fz)
+    assert list(rep.lines()) == ["[pass   ] degree == n(n-1)",
+                                 "[pass   ] product == Delta^2"]
+    assert rep.totals == {"degree": 2862}
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("exponent", "its product with cable(t) removed is not cable(core^1)"),
+    ("conjugated", "does not end with cable(t), t the parent's"),
+    ("swapped", "its product with cable(t) removed is not cable(core^2)"),
+    ("pair twist", "cable(Delta^2_27) times its product is not Delta^2_54"),
+    ("labels", "its 30 factors have degree 124, cable(core^1) has 120")])
+def test_refinement_names_the_bad_block(phi8_fz, regen_fz, name, reason):
+    broken, where = _controls(phi8_fz, regen_fz)[name]
+    rep = check_refinement(phi8_fz, broken)
+    assert not rep.passed
+    witness = _witness(rep)
+    assert witness.startswith(where + ": "), witness
+    assert reason in witness
+    assert not check_full_twist(broken).passed
+
+
+def test_the_conjugated_control_names_the_moved_transport(phi8_fz, regen_fz):
+    broken, where = _controls(phi8_fz, regen_fz)["conjugated"]
+    (j, f), = [(j, f) for j, (f, g) in
+               enumerate(zip(broken.factors, regen_fz.factors), 1)
+               if f.transport.word != g.transport.word]
+    assert _witness(check_refinement(phi8_fz, broken)) == (
+        f"{where}: the transport of child factor {j} {f.label!r} does not end "
+        "with cable(t), t the parent's")
+
+
+def test_hurwitz_moves_inside_a_block_keep_the_refinement(phi8_fz, regen_fz):
+    """A move inside a vertex block prepends a frame letter's cable to a
+    transport, which the block's product then removes again; the tail
+    needs only its product."""
+    starts, tail = _block_starts(phi8_fz)
+    v = next(i for i, f in enumerate(phi8_fz.factors, 1)
+             if f.tag == "composite")
+    for i, direction in ((starts[v - 1], "right"), (starts[v - 1] + 7, "left"),
+                         (tail, "right")):
+        moved = hurwitz_move(regen_fz, i, direction)
+        assert moved.factors[i - 1].transport != regen_fz.factors[i - 1].transport \
+            or moved.factors[i].transport != regen_fz.factors[i].transport
+        assert check_refinement(phi8_fz, moved).passed, (i, direction)
+
+
+def test_misleading_labels_change_no_verdict(phi8_fz, regen_fz):
+    """Labels play no part: every factor given its neighbour's label leaves
+    a correct child correct, for both checks."""
+    kids = regen_fz.factors
+    relabelled = Factorization(54, [
+        Factor(f.core, f.exponent, f.tag, f.transport, g.label)
+        for f, g in zip(kids, kids[1:] + kids[:1])])
+    assert check_full_twist(relabelled).passed
+    assert check_refinement(phi8_fz, relabelled).passed
+
+
+def test_refinement_reads_one_block_per_parent_factor():
+    """A child whose blocks match the degrees but not the products fails:
+    sigma_1 sigma_2 refines to cable(sigma_1 sigma_2), not to
+    cable(sigma_2 sigma_1)."""
+    cab = verify.cable
+    parent = Factorization(3, [Factor(artin_gen(3, 1), 1, "branch"),
+                               Factor(artin_gen(3, 2), 1, "branch")])
+    child = Factorization(6, [Factor(cab(artin_gen(3, 2)), 1, "branch"),
+                              Factor(cab(artin_gen(3, 1)), 1, "branch")])
+    assert _witness(check_refinement(parent, child)) == (
+        "parent factor 1 Factor(s1, r=1, branch), block from child factor 1 "
+        "Factor(s4 s5 s3 s4, r=1, branch): its product with cable(t) removed"
+        " is not cable(core^1)")
+
+
+def test_refinement_names_a_child_that_ends_early(phi8_fz, regen_fz):
+    rep = check_refinement(phi8_fz, Factorization(54, regen_fz.factors[:3]))
+    assert _witness(rep) == (f"parent factor 4 {phi8_fz.factors[3].label!r}: "
+                             "the child ends before its block")
+
+
+def test_refinement_needs_twice_the_strands(phi8_fz):
+    rep = check_refinement(phi8_fz, phi8_fz)
+    assert list(rep.lines()) == [
+        "[fail   ] strands == 2n  -- child on 27 strands, parent on 27: "
+        "a refinement has 54"]
+
+
+def test_each_block_identity_is_decided_once(phi8_fz, regen_fz, monkeypatch):
+    """Nine vertex blocks, one normal form per distinct core on each side,
+    and one for the closing tail; the 216 parasitic blocks are
+    word-identical to their cables."""
+    calls = []
+    real = verify.Braid.normal_form
+
+    def counted(self):
+        calls.append(self.n)
+        return real(self)
+    monkeypatch.setattr(verify.Braid, "normal_form", counted)
+    assert check_refinement(phi8_fz, regen_fz).passed
+    cores = {f.core.word for f in phi8_fz.factors if f.tag == "composite"}
+    assert len(calls) == 2 * len(cores) + 1
+
+
+_moves = st.lists(st.tuples(st.integers(min_value=1, max_value=224),
+                            st.sampled_from(["right", "left"])), max_size=4)
+
+
+@settings(max_examples=4, deadline=None)
+@given(_moves, st.booleans())
+def test_refinement_agrees_with_the_global_check(graph, phi8_fz, moves, conj):
+    """On regenerations of Hurwitz-moved phi8s and of their complex
+    conjugates both checks pass, and both fail on every control."""
+    parent = conj_factorization(phi8_fz) if conj else phi8_fz
+    for i, direction in moves:
+        parent = hurwitz_move(parent, i, direction)
+    child = regenerate(graph, parent)
+    assert check_full_twist(child).passed
+    assert check_refinement(parent, child).passed
+    for name, (broken, where) in _controls(parent, child).items():
+        assert _witness(check_refinement(parent, broken)).startswith(
+            where + ": "), name
+        assert not check_full_twist(broken).passed, name
