@@ -52,13 +52,15 @@ ABOVE = "above"
 
 
 class PunctureConfig:
-    """Punctures on the real line, one label per strand position."""
+    """Punctures on the real line, one label per strand position, and the
+    values of the printed atoms evaluated on them (`parse_regen_atom`)."""
 
-    __slots__ = ("_pos", "_punctures")
+    __slots__ = ("_atoms", "_pos", "_punctures")
 
     def __init__(self, labels):
         self._punctures = tuple(str(l) for l in labels)
         self._pos = {lab: i for i, lab in enumerate(self._punctures)}
+        self._atoms = {}
         if len(self._pos) != len(self._punctures):
             raise ValueError("duplicate puncture labels")
 
@@ -288,13 +290,22 @@ def _atom_parts(cfg: PunctureConfig, text: str):
 
 
 def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
-    """Value of one printed atom (`entry_value`); an m exponent inverts it."""
+    """Value of one printed atom (`entry_value`); an m exponent inverts it.
+
+    A printed list names a few atoms in most of its conjugators, so each
+    config evaluates an atom once.
+    """
     text = text.strip()
-    m = _RATOM.match(text)
-    if m and m.group(2):
-        # the m follows Z, Zu or Zb, so it is the atom's first m
-        return entry_value(cfg, text.replace("m", "", 1)).inverse()
-    return entry_value(cfg, text)
+    v = cfg._atoms.get(text)
+    if v is None:
+        m = _RATOM.match(text)
+        if m and m.group(2):
+            # the m follows Z, Zu or Zb, so it is the atom's first m
+            v = entry_value(cfg, text.replace("m", "", 1)).inverse()
+        else:
+            v = entry_value(cfg, text)
+        cfg._atoms[text] = v
+    return v
 
 
 def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:

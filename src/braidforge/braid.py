@@ -281,12 +281,19 @@ def _overlap(a, b) -> int:
                 min(len(a), len(b)))
 
 
+# the leading letters of the shorter word that `common_suffix` walks
+_HEAD = 8
+
+
 def common_suffix(a, b) -> int:
     """Number of trailing letters the words (or strings) a and b share.
 
-    Consecutive transports of a factorization share most of their letters,
-    so the search gallops down from the shorter length with C-level slice
-    comparisons, then bisects.
+    Consecutive transports of a factorization share most of their letters:
+    mostly the shorter one is a suffix of the longer, or only its first few
+    letters differ (four for cabled transports, a letter's cable).  So one
+    C-level slice comparison tries the whole shorter length, and one all
+    but its first _HEAD letters, which are then walked; a longer difference
+    gallops down from there with slice comparisons, then bisects.
     """
     if a is b:
         return len(a)
@@ -294,8 +301,17 @@ def common_suffix(a, b) -> int:
     m = min(la, lb)
     if not m or a[-1] != b[-1]:
         return 0
+    if a[la - m:] == b[lb - m:]:
+        return m
+    h = min(_HEAD, m)
+    if a[la - m + h:] == b[lb - m + h:]:
+        # the last difference is among the first h letters
+        i = h - 1
+        while a[la - m + i] == b[lb - m + i]:
+            i -= 1
+        return m - 1 - i
     # lo trailing letters are shared, hi are not
-    lo, hi, step = 1, m + 1, 1
+    lo, hi, step = 1, m - h, 1
     while hi - step > lo:
         mid = hi - step
         if a[la - mid:] == b[lb - mid:]:

@@ -305,6 +305,20 @@ def test_common_suffix_matches_the_naive_loop(u, v, s):
     assert common_suffix(text, other) == _ref_common_suffix(text, other)
 
 
+def test_common_suffix_at_each_head_length():
+    """The shorter word's last difference from the longer one's tail at
+    each position: in its first _HEAD letters, which are walked, and past
+    them, where the search gallops."""
+    s = tuple(range(1, 25))
+    for d in range(1, len(s) + 1):
+        for head in ((), (-7, 3)):
+            # the d-th letter differs, and the first one too
+            b = tuple(-x if i in (0, d - 1) else x for i, x in enumerate(s))
+            a = head + s
+            assert common_suffix(a, b) == common_suffix(b, a) == len(s) - d
+            assert common_suffix(a, b) == _ref_common_suffix(a, b)
+
+
 def test_common_suffix_edge_cases():
     a = (1, -2, 3, 5)
     assert common_suffix(a, a) == 4                     # the same object

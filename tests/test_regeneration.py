@@ -386,6 +386,28 @@ def test_atom_value_is_the_product_of_its_expansion():
     assert parse_regen_atom(cfg, "Zb1[1,3]").word == (-4, -3, -2, 1, 2, 3, 4)
 
 
+def test_each_atom_is_evaluated_once_per_config(monkeypatch):
+    """A worked vertex's printed list names a few atoms in most of its
+    conjugators; each is evaluated once, and kept as the value a fresh
+    config gives."""
+    import braidforge.arcs as arcs
+    texts = []
+    real = arcs.entry_value
+
+    def counted(cfg, text, rho=None):
+        texts.append(text)
+        return real(cfg, text, rho)
+    monkeypatch.setattr(arcs, "entry_value", counted)
+    obj = golden_json("regen/hv1.json")
+    hv_paper_factors(obj)
+    assert len(texts) == len(set(texts)) > 10
+    cfg = PunctureConfig(obj["labels"])
+    for atom in ("Z2[11',2]", "Zm2[55',6]"):
+        v = parse_regen_atom(cfg, atom)
+        assert parse_regen_atom(cfg, f" {atom}") is v
+        assert v == _pinned_atom_value(PunctureConfig(obj["labels"]), atom)
+
+
 def test_a_composite_atom_that_names_a_puncture_twice_is_refused():
     cfg = PunctureConfig(["1", "2", "3"])
     with pytest.raises(ValueError, match=re.escape("atom 'D2<1,1,2>'")):
