@@ -293,7 +293,7 @@ def common_suffix(a, b) -> int:
     letters differ (four for cabled transports, a letter's cable).  So one
     C-level slice comparison tries the whole shorter length, and one all
     but its first _HEAD letters, which are then walked; a longer difference
-    gallops down from there with slice comparisons, then bisects.
+    is bisected with slice comparisons.
     """
     if a is b:
         return len(a)
@@ -311,14 +311,7 @@ def common_suffix(a, b) -> int:
             i -= 1
         return m - 1 - i
     # lo trailing letters are shared, hi are not
-    lo, hi, step = 1, m - h, 1
-    while hi - step > lo:
-        mid = hi - step
-        if a[la - mid:] == b[lb - mid:]:
-            lo = mid
-            break
-        hi = mid
-        step *= 2
+    lo, hi = 1, m - h
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if a[la - mid:] == b[lb - mid:]:

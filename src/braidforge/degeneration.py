@@ -29,23 +29,25 @@ from .factorization import COMPOSITE_TAG, Factor, Factorization, _Product
 class DegenGraph:
     """27 lines over 9 six-points, with lex orders."""
 
-    __slots__ = ("lines", "vertices", "_incident")
+    __slots__ = ("lines", "vertices", "_incident", "_into")
 
-    def __init__(self, lines):
-        self.lines = tuple(lines)      # lines[t-1] = (alpha, beta), alpha < beta
+    def __init__(self, drawn):
+        """drawn[t-1] = (start, end): line t as it is drawn, to its end."""
+        # lines[t-1] = (alpha, beta), alpha < beta
+        self.lines = tuple(tuple(sorted(e)) for e in drawn)
         self.vertices = tuple(range(1, max(b for _, b in self.lines) + 1))
         inc = {v: [] for v in self.vertices}
-        for t, (a, b) in enumerate(self.lines, start=1):
+        into = {v: [] for v in self.vertices}
+        for t, (a, b) in enumerate(drawn, start=1):
             inc[a].append(t)
             inc[b].append(t)
+            into[b].append(t)
         self._incident = {v: tuple(sorted(ls)) for v, ls in inc.items()}
+        self._into = {v: tuple(ls) for v, ls in into.items()}
 
     @property
     def n_lines(self) -> int:
         return len(self.lines)
-
-    def endpoints(self, t: int):
-        return self.lines[t - 1]
 
     def small_vertex(self, t: int) -> int:
         return self.lines[t - 1][0]
@@ -57,6 +59,10 @@ class DegenGraph:
         """The six lines through vertex v, in increasing global order."""
         return self._incident[v]
 
+    def lines_into(self, v: int):
+        """The lines drawn to vertex v, in increasing global order."""
+        return self._into[v]
+
     def disjoint(self, p: int, t: int) -> bool:
         return not set(self.lines[p - 1]) & set(self.lines[t - 1])
 
@@ -66,15 +72,12 @@ def build_tt() -> DegenGraph:
     def vnum(r, c):
         return 3 * (r % 3) + (c % 3) + 1
 
-    edges = set()
-    for r in range(3):
-        for c in range(3):
-            for dr, dc in ((0, 1), (1, 0), (1, 1)):
-                e = tuple(sorted((vnum(r, c), vnum(r + dr, c + dc))))
-                edges.add(e)
-    lines = sorted(edges, key=lambda ab: (ab[1], ab[0]))
-    g = DegenGraph(lines)
-    assert g.n_lines == 27
+    # from each vertex (r, c) one line to the right, one down, one diagonal;
+    # so (r, c) ends those from (r, c-1), (r-1, c) and (r-1, c-1)
+    drawn = [(vnum(r, c), vnum(r + dr, c + dc)) for r in range(3)
+             for c in range(3) for dr, dc in ((0, 1), (1, 0), (1, 1))]
+    g = DegenGraph(sorted(drawn, key=lambda ab: (max(ab), min(ab))))
+    assert len(set(g.lines)) == 27
     assert all(len(g.incident_lines(v)) == 6 for v in g.vertices)
     return g
 

@@ -169,47 +169,17 @@ def conic_tables() -> dict:
 # global regeneration of the arrangement factorization
 
 
-def _branch_assignment(g) -> dict:
-    """Orient each line to one endpoint so every vertex receives three lines.
-
-    Found by augmenting paths (each vertex has six lines; a 3-in orientation
-    always exists and is certified by the returned assignment).
-    """
-    assign: dict[int, int] = {}          # line -> chosen vertex
-    count = {v: 0 for v in g.vertices}
-
-    def augment(t, seen):
-        for v in g.endpoints(t):
-            if count[v] < 3:
-                assign[t] = v
-                count[v] += 1
-                return True
-        for v in g.endpoints(t):
-            for t2, v2 in list(assign.items()):
-                if v2 == v and t2 not in seen and augment(t2, seen | {t2}):
-                    assign[t] = v
-                    return True
-        return False
-
-    for t in range(1, g.n_lines + 1):
-        if not augment(t, {t}):
-            raise ValueError("no balanced line orientation exists")
-    lines_of = {v: tuple(sorted(t for t, v2 in assign.items() if v2 == v))
-                for v in g.vertices}
-    assert all(len(ls) == 3 for ls in lines_of.values())
-    return lines_of
-
-
 def regenerate(g, fz: Factorization | None = None) -> Factorization:
     """The doubled factorization on 54 strands of fz (default `phi8(g)`).
 
     One forward pass over fz cables each parasitic factor (a ribbon full
     twist, degree 8) and splits the composite labelled V{j}: into thirty
     cabled frame letters (degree 4 each), giving the cable of fz's product.
-    The pair twists Z^2_{tt'} = sigma_{2t-1}^2 of the three lines assigned
-    to each vertex close the certificate, in the order the composites were
-    met, as cable(Delta^2_n) . prod Z^2_{tt'} = Delta^2_2n (`conic_identity`
-    checks it locally).  A ValueError names a factorization on another
+    The pair twists Z^2_{tt'} = sigma_{2t-1}^2 close the certificate, one
+    per line t, under the vertex t is drawn to (`DegenGraph.lines_into`,
+    three per vertex), in the order the composites were met, as
+    cable(Delta^2_n) . prod Z^2_{tt'} = Delta^2_2n (`conic_identity` checks
+    it locally).  A ValueError names a factorization on another
     number of strands than g has lines, a composite without a vertex label,
     a composite labelled with a vertex g does not have, a vertex's second
     composite, and the vertices without one.
@@ -219,7 +189,6 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
     if fz.strands != n:
         raise ValueError(f"a factorization on {fz.strands} strands, but the "
                          f"arrangement has {n} lines")
-    lines_of = _branch_assignment(g)
     out, pairs, seen = [], [], {}
     for i, (f, ct) in enumerate(cabled_transports(n, fz.factors), 1):
         if f.tag != COMPOSITE_TAG:
@@ -227,7 +196,7 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
             continue
         m = _LABEL.match(f.label)
         j = int(m[2]) if m and m[1] == "V" else None
-        if j not in lines_of or j in seen:
+        if j not in g.vertices or j in seen:
             raise ValueError(f"{_where(i, f)}: " + (
                 "composite without a vertex label" if j is None
                 else f"second composite of vertex {j}, after {seen[j]}"
@@ -238,7 +207,7 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
                    for h in _vertex_split(f, i))
         pairs.extend(Factor(artin_gen(2 * n, 2 * t - 1), 2, "node",
                             Braid(2 * n), f"V{j}:Z2[{t},{t}']")
-                     for t in lines_of[j])
+                     for t in g.lines_into(j))
     missing = [j for j in g.vertices if j not in seen]
     if missing:
         raise ValueError(f"no composite factor for vertices {missing}")

@@ -199,7 +199,7 @@ def _state(f: Factorization):
     return tuple(fac.braid() for fac in f.factors)
 
 
-def _neighbors(state, n):
+def _neighbors(state):
     k = len(state)
     for i in range(k - 1):
         a, b = state[i], state[i + 1]
@@ -224,7 +224,7 @@ def hurwitz_equivalent(f: Factorization, g: Factorization,
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        for nxt in _neighbors(cur, f.strands):
+        for nxt in _neighbors(cur):
             if nxt in seen:
                 continue
             if nxt == goal:

@@ -97,7 +97,7 @@ def test_criterion_6_regenerated_audit_and_identity(graph):
     for name in ("hv1", "hv4", "hv7"):
         obj = golden_json(f"regen/{name}.json")
         diff = hv_diff(fz, obj["vertex"], hv_paper_factors(obj))
-        assert isinstance(diff, list)
+        assert diff[0] == "factor count: engine 33, printed 54"
 
 
 def test_criterion_7_regeneration_rule_properties():

@@ -308,7 +308,7 @@ def test_common_suffix_matches_the_naive_loop(u, v, s):
 def test_common_suffix_at_each_head_length():
     """The shorter word's last difference from the longer one's tail at
     each position: in its first _HEAD letters, which are walked, and past
-    them, where the search gallops."""
+    them, where the search bisects."""
     s = tuple(range(1, 25))
     for d in range(1, len(s) + 1):
         for head in ((), (-7, 3)):

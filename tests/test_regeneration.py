@@ -21,7 +21,7 @@ from braidforge.regeneration import (DoublingMap, cable, cable_word,
                                      doubled_labels, hv_diff, hv_paper_factors,
                                      partial_cable, regen_audit, regen_rule1,
                                      regen_rule2, regen_rule3)
-from braidforge.regeneration import _branch_assignment, conic_monodromy, regenerate
+from braidforge.regeneration import conic_monodromy, regenerate
 from braidforge.verify import check_full_twist, hurwitz_equivalent
 from conftest import random_braid
 
@@ -518,7 +518,7 @@ def test_pair_twists_follow_the_transport_rule(graph, phi8_fz):
             continue
         j = int(f.label[1:f.label.index(":")])
         cs = cable(Factorization(27, h.factors[i + 1:]).product())
-        for t in _branch_assignment(graph)[j]:
+        for t in graph.lines_into(j):
             pair = twists[f"V{j}:Z2[{t},{t}']"]
             assert pair.exponent == 2
             assert pair.twist == cs * artin_gen(54, 2 * t - 1) * cs.inverse()
@@ -527,6 +527,20 @@ def test_pair_twists_follow_the_transport_rule(graph, phi8_fz):
             pairs.append(pair)
     assert len(pairs) == 27
     assert all(a is b for a, b in zip(fz.factors[-27:], pairs))
+
+
+def test_each_line_is_closed_once_at_one_of_its_vertices(graph, regen_fz):
+    """The closing tail names, under each vertex j, three lines through j,
+    and every line exactly once."""
+    closed = {}
+    for f in regen_fz.factors[-27:]:
+        m = re.fullmatch(r"V(\d+):Z2\[(\d+),\2'\]", f.label)
+        j, t = int(m[1]), int(m[2])
+        assert t in graph.incident_lines(j)
+        closed.setdefault(j, []).append(t)
+    assert sorted(closed) == list(graph.vertices)
+    assert all(len(ts) == 3 for ts in closed.values())
+    assert sorted(t for ts in closed.values() for t in ts) == list(range(1, 28))
 
 
 def _transported_regeneration(graph, h):
@@ -546,7 +560,7 @@ def _transported_regeneration(graph, h):
         cs = cable(Factorization(27, h.factors[i:]).product())
         out.extend(Factor(artin_gen(54, 2 * t - 1), 2, "node",
                           cs.inverse(), f"V{j}:Z2[{t},{t}']")
-                   for t in _branch_assignment(graph)[j])
+                   for t in graph.lines_into(j))
     return out
 
 
