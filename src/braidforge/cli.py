@@ -59,6 +59,9 @@ def _load(path: str, manifest: RunManifest) -> Factorization:
         fz = Factorization.loads(text)
     except KeyError as e:
         raise UsageError(f"{path}: missing field {e}") from None
+    except RecursionError:
+        raise UsageError(f"{path}: nested deeper than the recursion "
+                         "limit") from None
     except (OSError, ValueError, TypeError, AttributeError) as e:
         raise UsageError(f"{path}: {e}") from None
     manifest.add_input(path, text)
@@ -76,12 +79,9 @@ def _write(path: str, text: str, manifest: RunManifest):
 
 
 def _emit_report(rep: VerificationReport, args, manifest: RunManifest,
-                 fz: Factorization | None = None,
-                 certify=check_full_twist) -> int:
-    """Print the checks and write --report; a certificate fz first gets the
-    checks of certify(fz) under --identity and is written to --out."""
-    if fz is not None and args.identity:
-        rep.checks.extend(certify(fz).checks)
+                 fz: Factorization | None = None) -> int:
+    """Print the checks and write --report; a certificate fz is written to
+    --out."""
     if fz is not None and args.out:
         _write(args.out, fz.dumps(), manifest)
     for line in rep.lines():
@@ -106,11 +106,18 @@ def cmd_degen(args) -> int:
             rep.expect(f"{key} degree", want, t[key])
         print(f"totals: parasitic {t['parasitic']}, vertex {t['vertex']}, "
               f"total {t['total']}")
+    if args.identity:
+        rep.checks.extend(check_full_twist(fz).checks)
     return _emit_report(rep, args, manifest, fz)
 
 
-def _failures(rep: VerificationReport) -> str:
-    """The witnesses of rep's failed checks, in one line."""
+def _gate(fz: Factorization) -> str | None:
+    """None when fz's product is Delta^2, else the witnesses of the failed
+    checks in one line: the input gate of `regen run` and `verify
+    --refines`, which `check_refinement` relies on."""
+    rep = check_full_twist(fz)
+    if rep.passed:
+        return None
     return "; ".join(c["witness"] for c in rep.checks if c["status"] == "fail")
 
 
@@ -119,17 +126,11 @@ def cmd_regen(args) -> int:
     from .degeneration import build_tt, phi8
     from .regeneration import hv_diff, hv_paper_factors, regenerate
     manifest = RunManifest("regen")
-    src = _load(args.infile, manifest) if args.infile else None
     g = build_tt()
-    # the input is gated: a certificate read with --in always, the engine's
-    # phi8 when --identity certifies the output against it
-    gated = src is not None or args.identity
-    if src is None:
-        src = phi8(g)
+    src = _load(args.infile, manifest) if args.infile else phi8(g)
     try:
-        if gated and not (gate := check_full_twist(src)).passed:
-            raise ValueError("input factorization differs from Delta^2: "
-                             + _failures(gate))
+        if (bad := _gate(src)) is not None:
+            raise ValueError(f"input factorization differs from Delta^2: {bad}")
         fz = regenerate(g, src)
     except ValueError as e:
         print(f"forge regen: {e}", file=sys.stderr)
@@ -149,8 +150,9 @@ def cmd_regen(args) -> int:
             diff = hv_diff(fz, obj["vertex"], hv_paper_factors(obj))
             status = "identical" if not diff else "; ".join(diff[:3])
             print(f"local monodromy V{obj['vertex']} diff: {status}")
-    return _emit_report(rep, args, manifest, fz,
-                        lambda child: check_refinement(src, child))
+    if args.identity:
+        rep.checks.extend(check_refinement(src, fz).checks)
+    return _emit_report(rep, args, manifest, fz)
 
 
 def cmd_table(args) -> int:
@@ -178,13 +180,11 @@ def cmd_verify(args) -> int:
     if args.refines is None:
         return _emit_report(check_full_twist(fz), args, manifest)
     parent = _load(args.refines, manifest)
-    gate = check_full_twist(parent)
-    if gate.passed:
+    if (bad := _gate(parent)) is None:
         rep = check_refinement(parent, fz)
     else:
         rep = VerificationReport()
-        rep.add("parent product == Delta^2", False,
-                f"{args.refines}: {_failures(gate)}")
+        rep.add("parent product == Delta^2", False, f"{args.refines}: {bad}")
     return _emit_report(rep, args, manifest)
 
 
@@ -215,7 +215,7 @@ def cmd_goldens(args) -> int:
     # parasitic factor lists, string-level
     dt = golden_json("dt_list.json")
     bad = [t for t in range(1, g.n_lines + 1)
-           if [p for p in range(1, t) if g.disjoint(p, t)] != dt[str(t)]["i"]
+           if list(g.parasitic(t)) != dt[str(t)]["i"]
            or (dt[str(t)]["i"]
                and list(markers(g, t)) != dt[str(t)]["markers"])]
     rep.add("parasitic index sets and markers match transcription (27 lists)",

@@ -29,7 +29,7 @@ from .factorization import COMPOSITE_TAG, Factor, Factorization, _Product
 class DegenGraph:
     """27 lines over 9 six-points, with lex orders."""
 
-    __slots__ = ("lines", "vertices", "_incident", "_into")
+    __slots__ = ("lines", "vertices", "_incident", "_into", "_parasitic")
 
     def __init__(self, drawn):
         """drawn[t-1] = (start, end): line t as it is drawn, to its end."""
@@ -44,6 +44,9 @@ class DegenGraph:
             into[b].append(t)
         self._incident = {v: tuple(sorted(ls)) for v, ls in inc.items()}
         self._into = {v: tuple(ls) for v, ls in into.items()}
+        self._parasitic = {t: tuple(p for p in range(1, t)
+                                    if self.disjoint(p, t))
+                           for t in range(1, len(self.lines) + 1)}
 
     @property
     def n_lines(self) -> int:
@@ -65,6 +68,11 @@ class DegenGraph:
 
     def disjoint(self, p: int, t: int) -> bool:
         return not set(self.lines[p - 1]) & set(self.lines[t - 1])
+
+    def parasitic(self, t: int):
+        """The lines p < t disjoint from line t, in increasing global order:
+        the parasitic pairs (p, t) of D_t."""
+        return self._parasitic[t]
 
 
 def build_tt() -> DegenGraph:
@@ -122,12 +130,9 @@ def _events(g: DegenGraph):
     denominators: an exact integer key.
     """
     a, slope, icept = _realization(g)
-    crossings = []          # (numerator, positive denominator, (p, t))
-    for t in range(1, g.n_lines + 1):
-        for p in range(1, t):
-            if g.disjoint(p, t):
-                crossings.append((icept[p] - icept[t], slope[t] - slope[p],
-                                  (p, t)))
+    # (numerator, positive denominator, (p, t))
+    crossings = [(icept[p] - icept[t], slope[t] - slope[p], (p, t))
+                 for t in range(1, g.n_lines + 1) for p in g.parasitic(t)]
     scale = lcm(*(den for _, den, _ in crossings))
     events = [(a[j] * scale, "vertex", j) for j in g.vertices]
     events += [(num * (scale // den), "cross", pair)
@@ -187,11 +192,8 @@ def _paper_order(g: DegenGraph):
     """Keys of the 225 factors in the standard regrouped order."""
     keys = []
     for j in g.vertices:
-        for t in range(1, g.n_lines + 1):
-            if g.small_vertex(t) == j:
-                for p in range(1, t):
-                    if g.disjoint(p, t):
-                        keys.append(("cross", (p, t)))
+        keys += [("cross", (p, t)) for t in range(1, g.n_lines + 1)
+                 if g.small_vertex(t) == j for p in g.parasitic(t)]
         keys.append(("vertex", j))
     return keys
 
@@ -293,8 +295,7 @@ def _pair_notation(g: DegenGraph, p: int, t: int) -> str:
 
 def dt_notation(g: DegenGraph, t: int) -> str:
     """Serialized factor list of D_t, 'Id' when empty."""
-    parts = [_pair_notation(g, p, t)
-             for p in range(1, t) if g.disjoint(p, t)]
+    parts = [_pair_notation(g, p, t) for p in g.parasitic(t)]
     return " . ".join(parts) if parts else "Id"
 
 
@@ -312,23 +313,3 @@ def degree_audit(f: Factorization, expected: int) -> dict:
     total = sum(d for _, d in rows)
     return {"factors": rows, "blocks": blocks, "total": total,
             "expected": expected, "pass": total == expected}
-
-
-def check_pair_partition(g: DegenGraph) -> bool:
-    """Every line pair is parasitic in exactly one D_t or meets at one vertex."""
-    seen = {}
-    n = g.n_lines
-    for t in range(1, n + 1):
-        for p in range(1, t):
-            if g.disjoint(p, t):
-                seen[(p, t)] = seen.get((p, t), 0) + 1
-    meet = {}
-    for v in g.vertices:
-        inc = g.incident_lines(v)
-        for i, p in enumerate(inc):
-            for t in inc[i + 1:]:
-                meet[(p, t)] = meet.get((p, t), 0) + 1
-    allpairs = {(p, t) for t in range(1, n + 1) for p in range(1, t)}
-    if set(seen) | set(meet) != allpairs or set(seen) & set(meet):
-        return False
-    return all(c == 1 for c in seen.values()) and all(c == 1 for c in meet.values())

@@ -33,34 +33,6 @@ from .factorization import (COMPOSITE_TAG, Factor, Factorization,
 from .verify import _LABEL, regen_audit  # noqa: F401
 
 
-# ---------------------------------------------------------------------------
-# 2-cabling of some strands (`braid.cable` cables them all)
-
-
-def partial_cable(b: Braid, widths) -> tuple:
-    """Cable only some strands: strand k becomes a ribbon of widths[k-1]
-    parallel strands.  Returns (image braid, permuted widths).
-
-    A positive crossing of ribbons of widths (a, b) is the positive block
-    crossing; a negative one is the exact inverse of the positive block
-    crossing of the swapped widths, so the map is well defined on words.
-    """
-    w = list(widths)
-    if len(w) != b.n:
-        raise ValueError("one width per strand required")
-    out = []
-    for g in b.word:
-        k, s = abs(g), (1 if g > 0 else -1)
-        a, c = w[k - 1], w[k]
-        if s < 0:
-            a, c = c, a
-        start = sum(w[:k - 1]) + 1
-        block = [start + a - 1 + j - i for j in range(c) for i in range(a)]
-        out.extend(block if s > 0 else [-x for x in reversed(block)])
-        w[k - 1], w[k] = w[k], w[k - 1]
-    return Braid(sum(widths), out), w
-
-
 def doubled_labels(labels) -> list:
     out = []
     for l in labels:

@@ -407,7 +407,8 @@ def _keep_error(top, got):
 
 
 # (certificate, the one message it is refused with): each reaches the check
-# it was written for, and none passes for a reason of its own
+# it was written for, and none passes for a reason of its own; a string is
+# the certificate's text
 _MALFORMED = [
     ({"format": 2, "strands": 3}, "missing field 'factors'"),
     ({"format": 2, "strands": 3, "factors": [{"exp": 1, "tag": "branch"}]},
@@ -490,6 +491,10 @@ _MALFORMED = [
     ({"format": 2, "strands": 3, "factors": [5]},
      "factor 1: must be a JSON object, got int"),
     ({"format": 2, "factors": []}, "missing field 'strands'"),
+    # text, since json.dumps cannot nest this deep: json.loads raises
+    # RecursionError
+    ("[" * 200000 + "]" * 200000,
+     "nested deeper than the recursion limit"),
 ]
 
 
@@ -500,7 +505,7 @@ _MALFORMED = [
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, payload,
                                                 message, command):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main(command + [str(path)]) == 2
     assert capsys.readouterr().err == f"forge {command[0]}: {path}: {message}\n"
 

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,8 +10,7 @@ from braidforge.braid import Braid, block_half_twist, delta_squared
 from braidforge.data import golden_json
 from braidforge.degeneration import (_build_phi8, _events, _marker_text,
                                      _paper_order, _pair_notation,
-                                     _realization, build_tt,
-                                     check_pair_partition, degree_audit,
+                                     _realization, build_tt, degree_audit,
                                      dt_notation, markers, tilde_Cj,
                                      tilde_Delta2)
 from braidforge.factorization import COMPOSITE_TAG, Factor, _Product
@@ -21,8 +21,13 @@ def test_graph_combinatorics(graph):
     assert graph.n_lines == 27
     for v in range(1, 10):
         assert len(graph.incident_lines(v)) == 6
-    # every unordered line pair either meets at a vertex or is parasitic
-    assert check_pair_partition(graph)
+    # every unordered line pair either meets at exactly one vertex or is
+    # parasitic in exactly one D_t, that of its larger line
+    meet = [pair for v in graph.vertices
+            for pair in combinations(graph.incident_lines(v), 2)]
+    parasitic = [(p, t) for t in range(1, 28) for p in graph.parasitic(t)]
+    assert len(parasitic) == 216
+    assert sorted(meet + parasitic) == list(combinations(range(1, 28), 2))
 
 
 def test_block_degrees(graph):

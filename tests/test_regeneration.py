@@ -19,7 +19,7 @@ from braidforge.factorization import conj_factorization
 from braidforge.regeneration import (DoublingMap, cable, cable_word,
                                      conic_identity, conic_tables,
                                      doubled_labels, hv_diff, hv_paper_factors,
-                                     partial_cable, regen_audit, regen_rule1,
+                                     regen_audit, regen_rule1,
                                      regen_rule2, regen_rule3)
 from braidforge.regeneration import conic_monodromy, regenerate
 from braidforge.verify import check_full_twist, hurwitz_equivalent
@@ -67,6 +67,30 @@ def test_cable_is_a_homomorphism(rng):
         a, b = random_braid(rng, 4), random_braid(rng, 4)
         assert cable(a * b) == cable(a) * cable(b)
         assert cable(a.inverse()) == cable(a).inverse()
+
+
+def partial_cable(b: Braid, widths) -> tuple:
+    """Cable only some strands: strand k becomes a ribbon of widths[k-1]
+    parallel strands.  Returns (image braid, permuted widths).
+
+    A positive crossing of ribbons of widths (a, b) is the positive block
+    crossing; a negative one is the exact inverse of the positive block
+    crossing of the swapped widths, so the map is well defined on words.
+    """
+    w = list(widths)
+    if len(w) != b.n:
+        raise ValueError("one width per strand required")
+    out = []
+    for g in b.word:
+        k, s = abs(g), (1 if g > 0 else -1)
+        a, c = w[k - 1], w[k]
+        if s < 0:
+            a, c = c, a
+        start = sum(w[:k - 1]) + 1
+        block = [start + a - 1 + j - i for j in range(c) for i in range(a)]
+        out.extend(block if s > 0 else [-x for x in reversed(block)])
+        w[k - 1], w[k] = w[k], w[k - 1]
+    return Braid(sum(widths), out), w
 
 
 def test_cable_matches_partial_cable(rng):
