@@ -10,9 +10,8 @@ strand starting at position i (0-based).  The product convention is
 left-to-right: (a*b) means "do a, then b", so the tuple of a*b sends i to
 b[a[i]].  With this convention sigma_k is the transposition of positions k-1,
 k, the starting set of a permutation braid is its descent set and the
-finishing set is the descent set of its inverse.  Braid.permutation() returns
-the inverse tuple, the image under the standard projection B_n -> S_n (see
-its docstring).
+finishing set is the descent set of its inverse.  This is the package's one
+permutation direction: `perm_of_word` reads a word's permutation in it.
 """
 
 from __future__ import annotations
@@ -427,8 +426,11 @@ class Braid:
         return hash((self.n, self.normal_form()))
 
     def is_identity(self) -> bool:
-        d, facs = self.normal_form()
-        return d == 0 and not facs
+        return self.normal_form() == (0, ())
+
+    def is_full_twist(self) -> bool:
+        """Whether this is Delta^2_n, whose normal form is (2, ())."""
+        return self.normal_form() == (2, ())
 
     # -- invariants ---------------------------------------------------------
 
@@ -439,19 +441,10 @@ class Braid:
         # every negative letter counts -1 instead of +1
         return len(word) - 2 * sum(map(lt, word, repeat(0)))
 
-    def permutation(self) -> Perm:
-        """The image under the projection B_n -> S_n, sigma_k -> (k k+1).
-
-        perm[j] = start slot of the strand that ends at slot j (0-based), so
-        that (a*b).permutation() is a.permutation() after b.permutation() as
-        functions.  This is the inverse of the module's permutation-braid
-        tuples: invert(b.permutation()) == perm_of_word(n, b.word).
-        """
-        return invert(perm_of_word(self.n, self.word))
-
     def moved_slots(self) -> list:
-        """The 0-based slots that permutation() does not fix, ascending."""
-        return [j for j, i in enumerate(self.permutation()) if i != j]
+        """The 0-based slots that the permutation moves, ascending."""
+        return [j for j, i in enumerate(perm_of_word(self.n, self.word))
+                if i != j]
 
     # -- presentation -------------------------------------------------------
 

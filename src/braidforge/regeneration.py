@@ -24,7 +24,7 @@ from __future__ import annotations
 from .arcs import (PunctureConfig, _from_printed, atom_factors, cusp_factors,
                    formula_factors, node_factors, pair_twists)
 # cable_word is still importable here
-from .braid import Braid, artin_gen, cable, cable_word, delta_squared  # noqa: F401
+from .braid import Braid, artin_gen, cable, cable_word  # noqa: F401
 from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, Factor, Factorization,
@@ -129,7 +129,7 @@ def conic_identity(obj) -> bool:
     """
     cfg = PunctureConfig(obj["labels"])
     tail = pair_twists(cfg, obj["infinity"], 2)
-    return tail * conic_monodromy(obj).product() == delta_squared(cfg.n)
+    return (tail * conic_monodromy(obj).product()).is_full_twist()
 
 
 def conic_tables() -> dict:

@@ -7,7 +7,7 @@ import pytest
 from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, _drag, arc_factor,
                              arc_twist, band_full_twist, composite_twist,
                              node_factors)
-from braidforge.braid import Braid, artin_gen, block_half_twist
+from braidforge.braid import Braid, artin_gen, block_half_twist, perm_of_word
 from braidforge.factorization import Factor, Factorization, conj_factorization
 
 
@@ -25,7 +25,7 @@ def test_adjacent_arc_is_artin_generator(cfg):
 def test_arc_is_a_half_twist(cfg):
     b = arc_twist(cfg, "1", "4", side=BELOW)
     assert b.degree == 1
-    perm = b.permutation()
+    perm = perm_of_word(6, b.word)
     assert b.moved_slots() == [0, 3] and perm[0] == 3 and perm[3] == 0
 
 

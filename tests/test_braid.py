@@ -77,8 +77,19 @@ def test_delta_facts():
 
 
 def test_permutation():
-    b = Braid(3, [1, 2])
-    assert b.permutation() == (1, 2, 0)
+    """perm[i] is the end slot of the strand that starts at slot i."""
+    assert perm_of_word(3, [1, 2]) == (2, 0, 1)
+
+
+def test_the_normal_form_of_a_power_of_delta_is_that_power():
+    """Delta^k's left-greedy normal form is (k, ()), so `is_full_twist`
+    reads Delta^2 from a normal form alone."""
+    for n in range(2, 55):
+        for k in (1, 2):
+            assert normal_form_of_word(n, delta(n).word * k) == (k, ())
+        assert delta_squared(n).is_full_twist()
+        assert not delta(n).is_full_twist()
+        assert not (delta_squared(n) * artin_gen(n, 1)).is_full_twist()
 
 
 def test_text_round_trip():

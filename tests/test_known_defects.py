@@ -3,19 +3,16 @@
 Each test asserts the correct behaviour of one claim that the code does not
 meet yet, and its marker's reason is the CHANGES.md FOUND line of that
 defect.  A change that mends one makes its test pass, which strict mode
-reports as a failure: the mend then removes the marker and records itself
-as MENDED.
+reports as a failure: the mend then removes the marker, so the test stays
+as a plain one, and records itself as MENDED.
 """
-
-from itertools import islice
 
 import pytest
 
 from braidforge.cli import main
 from braidforge.data import golden_json
-from braidforge.factorization import COMPOSITE_TAG, Factor, Factorization
-from braidforge.regeneration import (DoublingMap, hv_diff, hv_paper_factors,
-                                     regen_rule2, regenerate)
+from braidforge.factorization import COMPOSITE_TAG
+from braidforge.regeneration import hv_diff, hv_paper_factors
 from braidforge.verify import check_full_twist, check_refinement
 
 
@@ -62,34 +59,13 @@ def test_relations_of_the_regenerated_certificate(tmp_path, regen_fz):
                  str(tmp_path / "rels.json")]) == 0
 
 
-@pytest.fixture(scope="module")
-def stage_a_splice(graph, phi8_fz):
-    """The regeneration of phi8 with each cabled parasitic factor replaced
-    by the four node factors of `regen_rule2(.., "both")`, each transported
-    by the cable of its parent's transport, under the parent's label."""
-    dm = DoublingMap(range(1, graph.n_lines + 1))
-    child = iter(regenerate(graph, phi8_fz).factors)
-    out = []
-    for f in phi8_fz.factors:
-        if f.tag == COMPOSITE_TAG:
-            out.extend(islice(child, 30))
-            continue
-        c = next(child).transport
-        out.extend(Factor(h.core, 2, "node", h.transport * c, f.label)
-                   for h in regen_rule2(Factor(f.core, 2, "node"), dm, "both"))
-    out.extend(child)
-    return Factorization(2 * graph.n_lines, out)
-
-
 def test_the_stage_a_splice_is_a_factorization_of_delta2(stage_a_splice):
-    """The splice itself is right, so the marker below pins the checker."""
+    """The splice itself is right, so the test below pins the checker."""
     assert len(stage_a_splice) == 1161 and stage_a_splice.degree == 2862
     assert check_full_twist(stage_a_splice).passed
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: `verify.check_refinement` requires each child transport to end "
-    "with cable(t) as a word, so it rejects the Stage A splice at parent "
-    "factor 1 'D4:Z2[3,4]', whose transports cancel at the join"))
 def test_check_refinement_passes_the_stage_a_splice(phi8_fz, stage_a_splice):
+    """Mended: transports that cancel at the join with cable(t) are read
+    as h . cable(t) all the same."""
     assert check_refinement(phi8_fz, stage_a_splice).passed

@@ -12,7 +12,8 @@ from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, _atom_parts,
                              _from_printed, arc_twist, atom_factors,
                              band_full_twist, node_factors, pair_twists,
                              parse_regen_atom)
-from braidforge.braid import Braid, artin_gen, block_full_twist, delta_squared
+from braidforge.braid import (Braid, artin_gen, block_full_twist, delta_squared,
+                              perm_of_word)
 from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
 from braidforge.factorization import conj_factorization
@@ -721,7 +722,7 @@ def test_worked_vertex_transcriptions():
         assert sum(f.braid().degree for f in fz) == 126
         resid = delta_squared(12).inverse() * fz.product()
         assert resid.degree == -6
-        perm = resid.permutation()
+        perm = perm_of_word(12, resid.word)
         assert perm == (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10)
 
 

@@ -3,18 +3,20 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidforge import verify
-from braidforge.braid import Braid, artin_gen, block_full_twist, delta_squared
+from braidforge import braid, verify
+from braidforge.braid import (Braid, artin_gen, block_full_twist, cable,
+                              delta_squared)
 from braidforge.factorization import (Factor, Factorization,
                                       conj_factorization, frame_factorization,
                                       hurwitz_move)
-from braidforge.regeneration import regenerate
+from braidforge.regeneration import DoublingMap, regen_rule2, regenerate
 from braidforge.verify import (VerificationReport, artin_census,
                                check_full_twist, check_refinement,
                                emit_relations, hurwitz_equivalent)
+from conftest import splice_stage_a
 
 
 def test_expect_names_the_wanted_value_and_what_came():
@@ -56,12 +58,14 @@ def test_check_full_twist_fails_with_witness():
     assert any("deficit 1" in w for w in witnesses)
 
 
+def _no_full_twist(n):
+    raise AssertionError(f"built the full twist of B_{n}")
+
+
 def test_a_degree_deficit_skips_the_product_check(monkeypatch):
     """The degree is a homomorphism, so a wrong degree decides the product
     check without building the full twist."""
-    def no_full_twist(n):
-        raise AssertionError(f"built the full twist of B_{n}")
-    monkeypatch.setattr(verify, "delta_squared", no_full_twist)
+    monkeypatch.setattr(verify, "delta_squared", _no_full_twist)
     fz = Factorization.loads(json.dumps({"format": 2, "strands": 10 ** 6,
                                          "factors": [{"core": "s1", "exp": 1,
                                                       "tag": "branch"}]}))
@@ -70,6 +74,26 @@ def test_a_degree_deficit_skips_the_product_check(monkeypatch):
     assert [c["status"] for c in rep.checks] == ["fail", "skipped"]
     assert rep.checks[1]["witness"] == \
         f"not computed: degree 1 is not {10 ** 6 * (10 ** 6 - 1)}"
+
+
+def test_a_full_twist_is_read_from_the_normal_form(monkeypatch):
+    """A degree-correct product is decided from its own normal form, so no
+    full twist is built, and a failure's witness is the residual
+    Delta^-2.product's, read from that normal form too."""
+    fz = frame_factorization(5)
+    fs = list(fz.factors)
+    # s2 s1 for s1 s2: the degree is kept, the product is not
+    broken = Factorization(5, [fs[1], fs[0]] + fs[2:])
+    resid = delta_squared(5).inverse() * broken.product()
+    inf, facs = resid.normal_form()
+    for module in (verify, braid):
+        monkeypatch.setattr(module, "delta_squared", _no_full_twist)
+    assert check_full_twist(fz).passed
+    rep = check_full_twist(broken)
+    assert [c["status"] for c in rep.checks] == ["pass", "fail"]
+    assert rep.checks[1]["witness"] == (
+        f"residual Delta^-2.product has degree {resid.degree}, "
+        f"normal form inf {inf} with {len(facs)} factors")
 
 
 def test_hurwitz_equivalent_yes():
@@ -143,14 +167,15 @@ def test_emit_relations_refuses_a_vertex_composite_squared():
 # refinement: the 54-strand certificate against the 27-strand one
 
 
-def _block_starts(parent):
+def _block_starts(parent, width=1):
     """The 1-based index of each parent factor's first child factor in its
-    regeneration (a vertex composite regenerates to 30 frame letters), and
+    regeneration (a vertex composite regenerates to 30 frame letters, a
+    parasitic factor to `width` factors: 1, or 4 in a Stage A splice), and
     that of the first closing pair twist."""
     starts, j = [], 1
     for f in parent.factors:
         starts.append(j)
-        j += 30 if f.tag == "composite" else 1
+        j += 30 if f.tag == "composite" else width
     return starts, j
 
 
@@ -158,11 +183,11 @@ def _commute(x, y) -> bool:
     return x * y == y * x
 
 
-def _controls(parent, child) -> dict:
+def _controls(parent, child, width=1) -> dict:
     """name -> (broken child, the start of the witness it must fail with):
     the parent factor's index and label and the first child factor of the
     bad block.  Each control also changes the product or the degree."""
-    starts, tail = _block_starts(parent)
+    starts, tail = _block_starts(parent, width)
     kids = list(child.factors)
     pfs = parent.factors
     s1 = artin_gen(child.strands, 1)
@@ -190,15 +215,15 @@ def _controls(parent, child) -> dict:
                 if not _commute(kids[j - 1].braid(), s1))
     out["conjugated"] = edit(lambda o: o.__setitem__(
         j - 1, kids[j - 1].conjugate(s1)), c)
-    # two adjacent one-factor blocks that do not commute, swapped
+    # two adjacent parasitic blocks whose parent factors do not commute,
+    # swapped (cable is injective, so neither do the blocks' products)
     w = next(i for i in range(1, len(pfs))
              if pfs[i - 1].tag != "composite" and pfs[i].tag != "composite"
-             and not _commute(kids[starts[i - 1] - 1].braid(),
-                              kids[starts[i] - 1].braid()))
-    a = starts[w - 1] - 1
+             and not _commute(pfs[i - 1].braid(), pfs[i].braid()))
+    a, b = starts[w - 1] - 1, starts[w] - 1
 
     def swap(o):
-        o[a], o[a + 1] = o[a + 1], o[a]
+        o[a:b + width] = o[b:b + width] + o[a:b]
     out["swapped"] = edit(swap, w)
     # the last closing pair twist dropped
     last = len(pfs)
@@ -232,7 +257,7 @@ def test_refinement_passes_on_the_regeneration(phi8_fz, regen_fz):
 
 @pytest.mark.parametrize("name, reason", [
     ("exponent", "its product with cable(t) removed is not cable(core^1)"),
-    ("conjugated", "does not end with cable(t), t the parent's"),
+    ("conjugated", "its product with cable(t) removed is not cable(core^1)"),
     ("swapped", "its product with cable(t) removed is not cable(core^2)"),
     ("pair twist", "cable(Delta^2_27) times its product is not Delta^2_54"),
     ("labels", "its 30 factors have degree 124, cable(core^1) has 120")])
@@ -247,13 +272,57 @@ def test_refinement_names_the_bad_block(phi8_fz, regen_fz, name, reason):
 
 
 def test_the_conjugated_control_names_the_moved_transport(phi8_fz, regen_fz):
+    """The moved transport u no longer ends with c = cable(t); read as
+    (u . c^-1) . c, its factor breaks its block's one rule, and the witness
+    names the block that holds it."""
     broken, where = _controls(phi8_fz, regen_fz)["conjugated"]
     (j, f), = [(j, f) for j, (f, g) in
                enumerate(zip(broken.factors, regen_fz.factors), 1)
                if f.transport.word != g.transport.word]
+    starts, _ = _block_starts(phi8_fz)
+    first = max(s for s in starts if s <= j)
+    assert f", block from child factor {first} " in where and j < first + 30
     assert _witness(check_refinement(phi8_fz, broken)) == (
-        f"{where}: the transport of child factor {j} {f.label!r} does not end "
-        "with cable(t), t the parent's")
+        f"{where}: its product with cable(t) removed is not cable(core^1)")
+
+
+def _rule2_refinement():
+    """Delta^2_3 = s1^2 . (s2 s1^2 s2^-1) . s2^2, its middle factor written
+    with transport s1 s2^-1, and its refinement: each factor's block is rule
+    2's four node factors, each transported by h . c with c the cable of
+    the parent's transport, and three pair twists close it."""
+    s1, s2 = artin_gen(3, 1), artin_gen(3, 2)
+    parent = Factorization(3, [
+        Factor(s1, 2, "node", label="A12"),
+        Factor(s1, 2, "node", s1 * s2.inverse(), "A13"),
+        Factor(s2, 2, "node", label="A23")])
+    dm = DoublingMap(range(1, 4))
+    kids = [Factor(h.core, 2, "node", h.transport * cable(f.transport),
+                   f.label)
+            for f in parent.factors
+            for h in regen_rule2(Factor(f.core, 2, "node"), dm, "both")]
+    kids += [Factor(artin_gen(6, k), 2, "node", label=f"Z2[{k}]")
+             for k in (1, 3, 5)]
+    return parent, kids
+
+
+def test_a_transport_that_cancels_into_cable_t_keeps_its_block():
+    """In the middle block, h = s2^-1 cancels into c, which starts with s2:
+    the transport does not end with c as a word, yet u = h . c as braids,
+    and the block passes; one core of it altered, it fails at its parent
+    factor and its first child factor."""
+    parent, kids = _rule2_refinement()
+    c = cable(parent.factors[1].transport).word
+    assert kids[4].transport.word == (3, 1, 2, -4, -3, -5, -4)
+    assert kids[4].transport.word[-len(c):] != c
+    assert check_full_twist(parent).passed
+    rep = check_refinement(parent, Factorization(6, kids))
+    assert rep.passed and check_full_twist(Factorization(6, kids)).passed
+    f = kids[5]
+    kids[5] = Factor(artin_gen(6, 5), 2, f.tag, f.transport, f.label)
+    assert _witness(check_refinement(parent, Factorization(6, kids))) == (
+        "parent factor 2 'A13', block from child factor 5 'A13': its product"
+        " with cable(t) removed is not cable(core^2)")
 
 
 def test_hurwitz_moves_inside_a_block_keep_the_refinement(phi8_fz, regen_fz):
@@ -330,18 +399,24 @@ _moves = st.lists(st.tuples(st.integers(min_value=1, max_value=224),
                             st.sampled_from(["right", "left"])), max_size=4)
 
 
+# a splice takes seconds here, most of them the global checks of two
+# controls' 24,774-letter products, so only the explicit example splices
 @settings(max_examples=4, deadline=None)
-@given(_moves, st.booleans())
-def test_refinement_agrees_with_the_global_check(graph, phi8_fz, moves, conj):
+@given(_moves, st.booleans(), st.just(False))
+@example([(1, "right")], True, True)
+def test_refinement_agrees_with_the_global_check(graph, phi8_fz, moves, conj,
+                                                 splice):
     """On regenerations of Hurwitz-moved phi8s and of their complex
-    conjugates both checks pass, and both fail on every control."""
+    conjugates, and on their Stage A splices, both checks pass, and both
+    fail on every control."""
     parent = conj_factorization(phi8_fz) if conj else phi8_fz
     for i, direction in moves:
         parent = hurwitz_move(parent, i, direction)
-    child = regenerate(graph, parent)
+    child = (splice_stage_a if splice else regenerate)(graph, parent)
     assert check_full_twist(child).passed
     assert check_refinement(parent, child).passed
-    for name, (broken, where) in _controls(parent, child).items():
+    for name, (broken, where) in _controls(parent, child,
+                                           4 if splice else 1).items():
         assert _witness(check_refinement(parent, broken)).startswith(
             where + ": "), name
         assert not check_full_twist(broken).passed, name
