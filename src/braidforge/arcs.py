@@ -82,10 +82,6 @@ class PunctureConfig:
     def label_at(self, pos: int) -> str:
         return self._punctures[pos]
 
-    def __eq__(self, other):
-        return (isinstance(other, PunctureConfig)
-                and self._punctures == other._punctures)
-
     def __repr__(self):
         return f"PunctureConfig({self._punctures})"
 
@@ -201,7 +197,7 @@ def band_full_twist(cfg: PunctureConfig, end_a, end_b,
 
 
 def node_factors(cfg: PunctureConfig, end_a, end_b,
-                 side: str = BELOW, label: str = "") -> list:
+                 side: str = BELOW) -> list:
     """The node rule's split list, printed order.
 
     Z^2_{ii',j} -> Z^2_{i'j} . Z^2_{ij}   (fat left:  short printed first)
@@ -213,27 +209,26 @@ def node_factors(cfg: PunctureConfig, end_a, end_b,
     if fat_a and fat_b:
         tw = band_full_twist(cfg, end_a, end_b, side)
         return [Factor(tw, 1, COMPOSITE_TAG,
-                       label=f"{label}Z2[{end_a[0]}{end_a[1]},{end_b[0]}{end_b[1]}]")]
+                       label=f"Z2[{end_a[0]}{end_a[1]},{end_b[0]}{end_b[1]}]")]
     if not fat_a and not fat_b:
         return [arc_factor(cfg, end_a, end_b, 2, "node", side,
-                           label=f"{label}Z2[{end_a},{end_b}]")]
+                           label=f"Z2[{end_a},{end_b}]")]
     # the longer arc passes the partner member of its fat end below
     if fat_a:
         (i, ip), j = end_a, end_b
-        return [arc_factor(cfg, ip, j, 2, "node", side,
-                           label=f"{label}Z2[{ip},{j}]"),
+        return [arc_factor(cfg, ip, j, 2, "node", side, label=f"Z2[{ip},{j}]"),
                 arc_factor(cfg, i, j, 2, "node", side,
                            () if side == BELOW else (ip,),
-                           label=f"{label}Z2[{i},{j}]")]
+                           label=f"Z2[{i},{j}]")]
     i, (j, jp) = end_a, end_b
     return [arc_factor(cfg, i, jp, 2, "node", side,
                        () if side == BELOW else (j,),
-                       label=f"{label}Z2[{i},{jp}]"),
-            arc_factor(cfg, i, j, 2, "node", side, label=f"{label}Z2[{i},{j}]")]
+                       label=f"Z2[{i},{jp}]"),
+            arc_factor(cfg, i, j, 2, "node", side, label=f"Z2[{i},{j}]")]
 
 
 def cusp_factors(cfg: PunctureConfig, end_a, end_b,
-                 side: str = BELOW, label: str = "") -> list:
+                 side: str = BELOW) -> list:
     """The cusp rule's triple, printed order:
     (Z^3)_{rho} . Z^3 . (Z^3)_{rho^-1}, rho the fat pair's half twist.
 
@@ -252,7 +247,7 @@ def cusp_factors(cfg: PunctureConfig, end_a, end_b,
 
     def z3(suffix):
         return arc_factor(cfg, a, b, 3, "cusp", side,
-                          label=f"{label}Z3[{a},{b}]{suffix}")
+                          label=f"Z3[{a},{b}]{suffix}")
     return [z3("_rho").conjugate(rho.inverse()), z3(""),
             z3("_rho-").conjugate(rho)]
 
@@ -308,7 +303,7 @@ def parse_regen_atom(cfg: PunctureConfig, text: str) -> Braid:
     return v
 
 
-def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
+def atom_factors(cfg: PunctureConfig, text: str) -> list:
     """Expand one printed atom into its factor list (printed order)."""
     text = text.strip()
     m = _DATOM.match(text)
@@ -317,23 +312,21 @@ def atom_factors(cfg: PunctureConfig, text: str, label: str = "") -> list:
             tw = composite_twist(cfg, m.group(2).split(","))
         except ValueError as err:
             raise ValueError(f"atom {text!r}: {err}") from None
-        return [Factor(tw, int(m.group(1)), COMPOSITE_TAG,
-                       label=f"{label}{text}")]
+        return [Factor(tw, int(m.group(1)), COMPOSITE_TAG, label=text)]
     side, exp, ea, eb = _atom_parts(cfg, text)
     thin = isinstance(ea, str) and isinstance(eb, str)
     if exp == 1 and thin:
         # a single branch factor; the arc passes the partner of its first end
         # above (the long arc Z_{ij'}) and the other punctures on `side`
         partner = () if side == ABOVE else (f"{ea}'",)
-        return [arc_factor(cfg, ea, eb, 1, "branch", side, partner,
-                           label=f"{label}{text}")]
+        return [arc_factor(cfg, ea, eb, 1, "branch", side, partner, text)]
     if exp == 2:
-        return node_factors(cfg, ea, eb, side, label)
+        return node_factors(cfg, ea, eb, side)
     if exp == 3 and not thin:
-        return cusp_factors(cfg, ea, eb, side, label)
+        return cusp_factors(cfg, ea, eb, side)
     if exp in (3, 4):
         return [arc_factor(cfg, ea, eb, exp, EXP_TAG[exp], side,
-                           label=f"{label}{text}")]
+                           label=text)]
     raise ValueError(f"atom {text!r} cannot stand as a factor")
 
 
@@ -368,16 +361,16 @@ def _from_printed(n: int, printed) -> Factorization:
     return Factorization(n, reversed(printed))
 
 
-def entry_value(cfg: PunctureConfig, text: str, rho: Braid | None = None) -> Braid:
+def entry_value(cfg: PunctureConfig, text: str) -> Braid:
     """Value of a printed factor ATOM^{...}: the product of its expansion."""
-    return _from_printed(cfg.n, entry_factors(cfg, text, rho)).product()
+    return _from_printed(cfg.n, entry_factors(cfg, text)).product()
 
 
 def entry_factors(cfg: PunctureConfig, text: str,
-                  rho: Braid | None = None, label: str = "") -> list:
+                  rho: Braid | None = None) -> list:
     """Expand a printed factor ATOM^{...} (printed order)."""
     base, tokens = _split_entry(text)
-    factors = atom_factors(cfg, base, label)
+    factors = atom_factors(cfg, base)
     if not tokens:
         return factors
     gi = _conjugator(cfg, tokens, rho).inverse()

@@ -408,10 +408,10 @@ class Braid:
     # -- canonical form -----------------------------------------------------
 
     def normal_form(self):
-        nf = object.__getattribute__(self, "_nf")
+        nf = self._nf
         if nf is None:
             nf = normal_form_of_word(self.n, self.word)
-            object.__setattr__(self, "_nf", nf)
+            _SET_NF(self, nf)
         return nf
 
     def __eq__(self, other) -> bool:

@@ -234,60 +234,57 @@ def cmd_goldens(args) -> int:
     return _emit_report(rep, args, manifest)
 
 
-# name -> (help, command), in the order -h lists them
-_COMMANDS = {
-    "degen": ("build the degenerated factorization", cmd_degen),
-    "regen": ("double the factorization (27 -> 54)", cmd_regen),
-    "table": ("print one local monodromy table", cmd_table),
-    "verify": ("certify a factorization file", cmd_verify),
-    "relations": ("emit van Kampen relation templates", cmd_relations),
-    "goldens": ("replay the transcribed parasitic lists, Lefschetz tables "
-                "and doubled local identities (regen run --audit diffs the "
-                "worked vertices)", cmd_goldens),
-}
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The forge parser for argv.  When argv names a command first, only
-    that command's parser is built, and the usage line still names all six;
-    otherwise all are, so -h lists them and a wrong name is refused among
-    them."""
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="forge",
                                 description="exact braid-monodromy engine")
-    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
-    # a lone command's choices would name only it in the usage line
-    sub = p.add_subparsers(dest="command", required=True, metavar=(
-        "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None))
-    for name in names:
-        q = sub.add_parser(name, help=_COMMANDS[name][0])
-        if name == "degen":
-            q.add_argument("target", choices=["phi8"])
-        elif name == "regen":
-            rs = q.add_subparsers(dest="subcommand", required=True)
-            q = rs.add_parser("run")
-            q.add_argument("--in", dest="infile")
-        elif name != "goldens":
-            q.add_argument("name" if name == "table" else "path")
-        if name in ("degen", "regen"):
-            q.add_argument("--audit", action="store_true")
-            q.add_argument("--identity", action="store_true",
-                           help="also certify the full-twist product (regen: "
-                           "block by block against its gated input)")
-        elif name == "verify":
-            q.add_argument("--refines", metavar="PARENT",
-                           help="certify the file block by block as a "
-                           "regeneration of the certificate PARENT (on half "
-                           "the strands), whose product is checked first")
-        if name in ("degen", "regen", "relations"):
-            q.add_argument("--out")
-        if name != "relations":
-            q.add_argument("--report")
-        q.set_defaults(fn=_COMMANDS[name][1])
+    sub = p.add_subparsers(dest="command", required=True)
+
+    d = sub.add_parser("degen", help="build the degenerated factorization")
+    d.add_argument("target", choices=["phi8"])
+    d.set_defaults(fn=cmd_degen)
+
+    r = sub.add_parser("regen", help="double the factorization (27 -> 54)")
+    rs = r.add_subparsers(dest="subcommand", required=True)
+    rr = rs.add_parser("run")
+    rr.add_argument("--in", dest="infile")
+    rr.set_defaults(fn=cmd_regen)
+    for q in (d, rr):
+        q.add_argument("--audit", action="store_true")
+        q.add_argument("--identity", action="store_true",
+                       help="also certify the full-twist product (regen: "
+                       "block by block against its gated input)")
+        q.add_argument("--out")
+        q.add_argument("--report")
+
+    t = sub.add_parser("table", help="print one local monodromy table")
+    t.add_argument("name")
+    t.add_argument("--report")
+    t.set_defaults(fn=cmd_table)
+
+    v = sub.add_parser("verify", help="certify a factorization file")
+    v.add_argument("path")
+    v.add_argument("--refines", metavar="PARENT",
+                   help="certify the file block by block as a regeneration "
+                   "of the certificate PARENT (on half the strands), whose "
+                   "product is checked first")
+    v.add_argument("--report")
+    v.set_defaults(fn=cmd_verify)
+
+    rel = sub.add_parser("relations", help="emit van Kampen relation templates")
+    rel.add_argument("path")
+    rel.add_argument("--out")
+    rel.set_defaults(fn=cmd_relations)
+
+    go = sub.add_parser("goldens", help="replay the transcribed parasitic "
+                        "lists, Lefschetz tables and doubled local identities"
+                        " (regen run --audit diffs the worked vertices)")
+    go.add_argument("--report")
+    go.set_defaults(fn=cmd_goldens)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

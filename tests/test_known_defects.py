@@ -13,7 +13,8 @@ from braidforge.cli import main
 from braidforge.data import golden_json
 from braidforge.factorization import COMPOSITE_TAG
 from braidforge.regeneration import hv_diff, hv_paper_factors
-from braidforge.verify import check_full_twist, check_refinement
+from braidforge.verify import (artin_census, check_full_twist,
+                               check_refinement)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -35,6 +36,21 @@ def test_verify_refuses_a_branch_factor_that_is_no_half_twist(tmp_path):
 def test_every_regenerated_singular_factor_is_a_half_twist(regen_fz):
     assert all(f.is_half_twist() for f in regen_fz
                if f.tag != COMPOSITE_TAG)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: `regeneration.regenerate` (via `cable_factor`) keeps the tags "
+    "`branch`/`node` and exponents 1/2 on cabled factors whose twists are "
+    "ribbon crossings (four letters per crossing), not half-twists, so no "
+    "factor of `phi0.json` passes `Factor.is_half_twist` and `forge "
+    "relations phi0.json` can emit no relation at all (it now stops at "
+    "factor 1); seen by running `forge relations` on the regenerated "
+    "certificate."))
+def test_the_regenerated_census_is_the_papers(regen_fz):
+    """ROADMAP item 1's table: 54 branch points, 1080 nodes and 216 cusps
+    of the doubled curve, each factor a half-twist power."""
+    assert artin_census(regen_fz)["by_exponent"] == {
+        1: 54, 2: 1080, 3: 216, 4: 0, "composite": 0}
 
 
 @pytest.mark.xfail(strict=True, reason=(

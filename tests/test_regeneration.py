@@ -245,6 +245,32 @@ def test_rules_on_two_digit_labels():
         assert regen_rule3(Factor(s, 4, "tangent"), dm).degree == 9, k
 
 
+def test_each_expanded_factor_is_labelled_by_its_printed_atom():
+    """A rule's factors, in composition order, carry the atom each was read
+    from: the atom text, Z2[..] for a split node's arcs and Z3[..] with its
+    rho conjugation for a cusp; a worked vertex's printed list likewise."""
+    dm = DoublingMap(range(1, 4))
+    s = artin_gen(3, 2)
+
+    def labels(fz):
+        return [f.label for f in fz]
+    assert (labels(regen_rule1(Factor(s, 1, "branch"), dm))
+            == ["Z1[2',3]", "Z1[2,3']"])
+    node = Factor(s, 2, "node")
+    assert (labels(regen_rule2(node, dm, "i-side"))
+            == ["Z2[2,3]", "Z2[2',3]"])
+    assert (labels(regen_rule2(node, dm, "j-side"))
+            == ["Z2[2,3]", "Z2[2,3']"])
+    assert (labels(regen_rule2(node, dm, "both"))
+            == ["Z2[2,3]", "Z2[2,3']", "Z2[2',3]", "Z2[2',3']"])
+    assert (labels(regen_rule3(Factor(s, 4, "tangent"), dm))
+            == ["Z3[2,3]_rho-", "Z3[2,3]", "Z3[2,3]_rho"])
+    hv1 = hv_paper_factors(golden_json("regen/hv1.json"))
+    assert (labels(hv1)[:5]
+            == ["Z1[1',2]", "Z1[1,2']", "Z3[2',5]_rho-", "Z3[2',5]",
+                "Z3[2',5]_rho"])
+
+
 def test_rules_reject_wrong_exponents():
     dm = DoublingMap(["1", "2"])
     node = Factor(artin_gen(2, 1), 2, "node")
@@ -419,9 +445,9 @@ def test_each_atom_is_evaluated_once_per_config(monkeypatch):
     texts = []
     real = arcs.entry_value
 
-    def counted(cfg, text, rho=None):
+    def counted(cfg, text):
         texts.append(text)
-        return real(cfg, text, rho)
+        return real(cfg, text)
     monkeypatch.setattr(arcs, "entry_value", counted)
     obj = golden_json("regen/hv1.json")
     hv_paper_factors(obj)
