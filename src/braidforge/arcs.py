@@ -27,8 +27,9 @@ The printed Z/D notation of the regenerated lists and the local monodromy
 tables records the side each arc passes each puncture; one parser here reads
 it.  Printed lists read RIGHT TO LEFT: [p_1, ..., p_k] is p_k ... p_1, and
 `_from_printed` is the one place that reverses one into composition order.
-A printed conjugation (A)^{B C} means g.A.g^-1 = A^(g^-1) with g = C.B, and
-a printed entry's value is the product of its expansion (`entry_value`).
+A printed conjugation A^{B C} means g.A.g^-1 = A^(g^-1) with g = C.B; the
+parenthesized spelling (A)^{B C} is refused as a bad atom.  A printed entry's
+value is the product of its expansion (`entry_value`).
 Its sides are frozen, each pinned by the exact splitting identities
 (Z^2_{ii',j} = Z^2_{i'j} Z^2_{ij} etc.) that the doubled local models satisfy:
 * an atom passes the unrelated punctures below (Z, Zu) or above (Zb);
@@ -345,14 +346,8 @@ def _conjugator(cfg: PunctureConfig, tokens, rho: Braid | None) -> Braid:
 
 
 def _split_entry(text: str):
-    """(atom, conjugator tokens) of a printed factor ATOM^{...}."""
-    text = text.strip()
-    if text.startswith("(") and ")^" in text:
-        base, conj = text[1:].rsplit(")^", 1)
-    elif "^" in text:
-        base, conj = text.split("^", 1)
-    else:
-        base, conj = text, ""
+    """(atom, conjugator tokens) of a printed factor ATOM or ATOM^{...}."""
+    base, _, conj = text.strip().partition("^")
     return base.strip(), conj.strip().strip("{}").split()
 
 
@@ -377,7 +372,7 @@ def entry_factors(cfg: PunctureConfig, text: str,
     return [f.conjugate(gi) for f in factors]
 
 
-def formula_factors(labels, entries, rho_pairs=None,
+def formula_factors(labels, entries, rho_pairs,
                     branch_conj=()) -> Factorization:
     """Expand a printed factor list over doubled labels.
 
@@ -386,7 +381,7 @@ def formula_factors(labels, entries, rho_pairs=None,
     degree-1 entry (the printed lists omit it).
     """
     cfg = PunctureConfig(labels)
-    rho = pair_twists(cfg, rho_pairs) if rho_pairs else None
+    rho = pair_twists(cfg, rho_pairs)
     gbi = (_conjugator(cfg, list(branch_conj), rho).inverse()
            if branch_conj else None)
     printed = []

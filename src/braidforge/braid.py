@@ -235,12 +235,12 @@ class _Normalizer:
 def normal_form_of_word(n: int, word):
     """Left-greedy normal form (inf, permutation factors) of a braid word.
 
-    The free-reduction pre-pass costs one C-level scan on a reduced word,
-    such as a Braid's.
+    Reads the word's letters as given, one at a time: the normalizer works
+    in the group, so a cancelling pair needs no reduction beforehand.
     """
     nf = _Normalizer(n)
     push = nf.push_letter
-    for k in free_reduce(word):
+    for k in word:
         push(k)
     return nf.result()
 

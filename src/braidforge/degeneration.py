@@ -147,20 +147,22 @@ def _events(g: DegenGraph):
 def _sweep(g: DegenGraph):
     """Sweep the fiber across all singular values.
 
-    Maintains the current fiber order and the accumulated conjugating word W,
-    a product of positive half twists and so freely reduced.  Each event
-    contributes the factor W . Delta^2<block> . W^-1, where the block is the
-    (consecutive) run of lines meeting at the event; afterwards W absorbs the
-    half twist of the block and the block order reverses.
+    Maintains the current fiber order and W^-1, W the accumulated conjugating
+    word, a product of positive half twists and so freely reduced.  Each
+    event contributes the factor W . Delta^2<block> . W^-1, where the block is
+    the (consecutive) run of lines meeting at the event, so its transport is
+    the current W^-1; afterwards W absorbs the half twist H of the block
+    (W^-1 gains H^-1 on the left) and the block order reverses.
 
-    Returns the records (kind, payload, offset, size, m) in product order
-    (farthest event first), m the length of W before the event, and W; the
-    factor product in this order is the full twist.
+    Returns the sweep's own factorization as (key, Factor) pairs in product
+    order (farthest event first), key the event's (kind, payload): a
+    parasitic node for a crossing, a vertex's block full twist for a vertex.
+    Their product in this order is the full twist.
     """
     n = g.n_lines
     fiber = list(range(1, n + 1))
-    W: list[int] = []
-    records = []
+    winv: tuple = ()
+    out = []
     for _x, kind, payload in _events(g):
         lines = (list(g.incident_lines(payload)) if kind == "vertex"
                  else list(payload))
@@ -168,24 +170,20 @@ def _sweep(g: DegenGraph):
         a0, k = pos[0], len(pos)
         if pos != list(range(a0, a0 + k)):
             raise ValueError(f"event lines {lines} not consecutive in the fiber")
-        records.append((kind, payload, a0, k, len(W)))
-        W.extend(block_half_twist(n, a0 + 1, a0 + k).word)
+        transport = Braid._reduced(n, winv)
+        if kind == "cross":
+            p, t = payload
+            f = Factor(Braid._reduced(n, (a0 + 1,)), 2, "node", transport,
+                       f"D{t}:{_pair_notation(g, p, t)}")
+        else:
+            f = Factor(block_full_twist(n, a0 + 1, a0 + k), 1, COMPOSITE_TAG,
+                       transport, f"V{payload}:Delta2<"
+                       + ",".join(str(t) for t in lines) + ">")
+        out.append(((kind, payload), f))
+        winv = inverse_word(block_half_twist(n, a0 + 1, a0 + k).word) + winv
         fiber[a0:a0 + k] = reversed(fiber[a0:a0 + k])
-    records.reverse()
-    return records, W
-
-
-def _record_factor(g: DegenGraph, n: int, kind, payload, a0, k,
-                   transport: Braid) -> Factor:
-    """The monodromy factor of one sweep record, W^-1 its transport."""
-    if kind == "cross":
-        p, t = payload
-        return Factor(Braid._reduced(n, (a0 + 1,)), 2, "node", transport,
-                      f"D{t}:{_pair_notation(g, p, t)}")
-    lines = g.incident_lines(payload)
-    core = block_full_twist(n, a0 + 1, a0 + k)
-    label = f"V{payload}:Delta2<" + ",".join(str(t) for t in lines) + ">"
-    return Factor(core, 1, COMPOSITE_TAG, transport, label)
+    out.reverse()
+    return out
 
 
 def _paper_order(g: DegenGraph):
@@ -201,14 +199,7 @@ def _paper_order(g: DegenGraph):
 def _build_phi8(g: DegenGraph) -> Factorization:
     """Sweep, then regroup by Hurwitz moves into the standard order."""
     n = g.n_lines
-    records, W = _sweep(g)
-    # the transport of a record is W[:m]^-1, the last m letters of W^-1
-    winv = inverse_word(W)
-    cur = []  # (key, Factor) in sweep order
-    for kind, payload, a0, k, m in records:
-        t = Braid._reduced(n, winv[len(winv) - m:])
-        cur.append(((kind, payload), _record_factor(g, n, kind, payload,
-                                                    a0, k, t)))
+    cur = _sweep(g)
     out = []
     prefix = [_Product(n)]  # prefix[i]: product of cur[:i], kept while valid
     for key in _paper_order(g):

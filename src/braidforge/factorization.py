@@ -123,7 +123,7 @@ class Factor:
     def __repr__(self):
         return f"Factor({self.label or self.twist.to_text()}, r={self.exponent}, {self.tag})"
 
-    def to_json(self, keep: int = 0) -> dict:
+    def to_json(self, keep: int) -> dict:
         """The format-2 certificate entry of a factor whose transport ends
         with the last `keep` letters of the previous factor's."""
         out = {"core": self.core.to_text(), "exp": self.exponent, "tag": self.tag}

@@ -24,7 +24,7 @@ from __future__ import annotations
 from .arcs import (PunctureConfig, _from_printed, atom_factors, cusp_factors,
                    formula_factors, node_factors, pair_twists)
 # cable_word is still importable here
-from .braid import Braid, artin_gen, cable, cable_word  # noqa: F401
+from .braid import artin_gen, cable, cable_word  # noqa: F401
 from .data import golden_json
 from .degeneration import phi8
 from .factorization import (COMPOSITE_TAG, Factor, Factorization,
@@ -113,7 +113,7 @@ def conic_monodromy(obj) -> Factorization:
     Factors come back in composition order (printed order reversed).
     """
     f1 = formula_factors(obj["labels"], obj["fhat1"], obj["rho"],
-                         obj.get("branch_conj", ()))
+                         obj["branch_conj"])
     rho = pair_twists(PunctureConfig(obj["labels"]), obj["rho"])
     f2 = f1.conjugate(rho)
     for f in f2:
@@ -178,7 +178,7 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
         out.extend(Factor(cable(h.core), 1, "branch", ct, h.label)
                    for h in _vertex_split(f, i))
         pairs.extend(Factor(artin_gen(2 * n, 2 * t - 1), 2, "node",
-                            Braid(2 * n), f"V{j}:Z2[{t},{t}']")
+                            label=f"V{j}:Z2[{t},{t}']")
                      for t in g.lines_into(j))
     missing = [j for j in g.vertices if j not in seen]
     if missing:
@@ -192,8 +192,7 @@ def regenerate(g, fz: Factorization | None = None) -> Factorization:
 
 def hv_paper_factors(obj) -> Factorization:
     """The printed local monodromy of a worked vertex (composition order)."""
-    return formula_factors(obj["labels"], obj["entries"], obj.get("rho"),
-                           obj.get("branch_conj", ()))
+    return formula_factors(obj["labels"], obj["entries"], obj["rho"])
 
 
 def hv_diff(engine: Factorization, vertex: int, paper: Factorization) -> list:

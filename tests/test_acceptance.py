@@ -4,6 +4,8 @@ Each criterion is a single test so that `pytest -v` prints exactly one
 PASSED/FAILED line per criterion.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -21,9 +23,8 @@ from braidforge.factorization import (Factorization, conj_factorization,
 from braidforge.lefschetz import golden_check
 from braidforge.regeneration import (DoublingMap, conic_identity,
                                      conic_tables, doubled_labels, hv_diff,
-                                     hv_paper_factors, regen_audit,
-                                     regenerate)
-from braidforge.verify import check_full_twist
+                                     hv_paper_factors, regenerate)
+from braidforge.verify import check_full_twist, emit_relations, regen_audit
 
 
 def test_criterion_1_degenerated_audit():
@@ -169,3 +170,26 @@ def test_criterion_9_negative_controls(phi8_fz):
         assert witnesses and all(witnesses), \
             f"no witness for deleted factor {deleted.label}"
         assert any("deficit 2" in w for w in witnesses), deleted.label
+
+
+# SHA-256 of A.json (38,549 B), B.json (108,089 B) and rels.json
+PINNED = {
+    "A.json": "402cb507939c4bbbe58ee858a1e672307f947604113cf5074627a3f8b357998e",
+    "B.json": "4bdfdfb3e4f7b854696f6025c6a45fefdf7fdd9dd4c1ea5508c7ec826c264898",
+    "rels.json": "f3ef4c0628568e5d204573b4249a55dc2c41674ade75f71a3b89d5b0c70fb4b9",
+}
+
+
+def test_certificates_are_the_pinned_bytes(phi8_fz, regen_fz):
+    """`phi8`, its regeneration and its relation templates are written to
+    the same bytes as `forge degen phi8 --out A.json`, `forge regen run
+    --out B.json` and `forge relations A.json --out rels.json` write.
+
+    A change that alters a certificate on purpose updates its digest here
+    and says why in CHANGES.md.
+    """
+    texts = {"A.json": phi8_fz.dumps(), "B.json": regen_fz.dumps(),
+             "rels.json": json.dumps(emit_relations(phi8_fz), indent=2)}
+    got = {name: hashlib.sha256(text.encode()).hexdigest()
+           for name, text in texts.items()}
+    assert got == PINNED

@@ -6,7 +6,7 @@ import pytest
 
 from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, _drag, arc_factor,
                              arc_twist, band_full_twist, composite_twist,
-                             node_factors)
+                             entry_value, node_factors)
 from braidforge.braid import Braid, artin_gen, block_half_twist, perm_of_word
 from braidforge.factorization import Factor, Factorization, conj_factorization
 
@@ -178,3 +178,11 @@ def test_band_ends_are_checked(cfg6):
         band_full_twist(cfg6, ("1", "2"), "3")
     with pytest.raises(ValueError, match="band ends overlap"):
         band_full_twist(cfg6, ("1", "1'"), "1'")
+
+
+def test_a_parenthesized_atom_is_no_atom():
+    """A printed conjugation is spelled A^{B C}; (A)^{B C} is refused, not
+    read as A^{B C}."""
+    with pytest.raises(ValueError) as err:
+        entry_value(PunctureConfig(["1", "2", "3"]), "(Z2[1,2])^{Z2[2,3]}")
+    assert str(err.value) == "bad printed atom '(Z2[1,2])'"

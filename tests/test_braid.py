@@ -8,13 +8,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidforge.braid import (Braid, artin_gen, delta, delta_squared,
-                              from_text, half_twist_word, inversions,
-                              perm_of_word, perm_to_word, to_text)
+from braidforge.braid import (Braid, artin_gen, cable, cable_word, delta,
+                              delta_squared, from_text, half_twist_word,
+                              inversions, perm_of_word, perm_to_word, to_text)
 from braidforge.braid import (_overlap, common_suffix, free_reduce,
                               normal_form_of_word)
 from braidforge.factorization import SINGULARITY_TAGS, Factor, Factorization
-from braidforge.regeneration import cable, cable_word
 
 N = 4
 letters = st.integers(min_value=-(N - 1), max_value=N - 1).filter(lambda k: k != 0)

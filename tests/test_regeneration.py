@@ -12,18 +12,17 @@ from braidforge.arcs import (ABOVE, BELOW, PunctureConfig, _atom_parts,
                              _from_printed, arc_twist, atom_factors,
                              band_full_twist, node_factors, pair_twists,
                              parse_regen_atom)
-from braidforge.braid import (Braid, artin_gen, block_full_twist, delta_squared,
-                              perm_of_word)
+from braidforge.braid import (Braid, artin_gen, block_full_twist, cable,
+                              cable_word, delta_squared, perm_of_word)
 from braidforge.data import golden_json, golden_names
 from braidforge.factorization import Factor, Factorization, hurwitz_move
 from braidforge.factorization import conj_factorization
-from braidforge.regeneration import (DoublingMap, cable, cable_word,
-                                     conic_identity, conic_tables,
-                                     doubled_labels, hv_diff, hv_paper_factors,
-                                     regen_audit, regen_rule1,
+from braidforge.regeneration import (DoublingMap, conic_identity,
+                                     conic_tables, doubled_labels, hv_diff,
+                                     hv_paper_factors, regen_rule1,
                                      regen_rule2, regen_rule3)
 from braidforge.regeneration import conic_monodromy, regenerate
-from braidforge.verify import check_full_twist, hurwitz_equivalent
+from braidforge.verify import check_full_twist, hurwitz_equivalent, regen_audit
 from conftest import random_braid
 
 
