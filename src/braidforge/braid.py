@@ -30,17 +30,17 @@ Perm = tuple  # tuple[int, ...]
 # permutation-braid primitives
 
 
-def invert(a: Perm) -> Perm:
+def invert(a) -> list:
     out = [0] * len(a)
     for i, x in enumerate(a):
         out[x] = i
-    return tuple(out)
+    return out
 
 
-def flip(a: Perm) -> Perm:
+def flip(a) -> list:
     """Conjugation by Delta: flip(a) = Delta^-1 a Delta."""
     n = len(a)
-    return tuple(n - 1 - a[n - 1 - i] for i in range(n))
+    return [n - 1 - a[n - 1 - i] for i in range(n)]
 
 
 def inversions(a: Perm) -> int:
@@ -64,7 +64,7 @@ def perm_of_word(n: int, word) -> Perm:
     # out as built maps positions through successive swaps applied left-to-right
     # on positions, which is exactly the start->end assignment we want when
     # each letter swaps the *current* occupants of slots i, i+1; invert once.
-    return invert(tuple(out))
+    return tuple(invert(out))
 
 
 def perm_to_word(a: Perm) -> list[Letter]:
@@ -124,12 +124,15 @@ def _left_weight_pair(fA, fB) -> bool:
 class _Normalizer:
     """Streaming left-greedy normalizer.
 
-    Maintains Delta^d . f_1 ... f_m with the f_i left-weighted.  A lazy flip
-    parity absorbs the Delta^-1 introduced by each negative letter, so negative
-    letters cost the same as positive ones: the stored factor s_i represents the
-    actual factor flip^parity(s_i), and flip is an automorphism preserving
-    left-weightedness, Delta and the identity.  Letters are grouped into
-    maximal permutation-braid chunks before entering the factor list.
+    Maintains Delta^d . f_1 ... f_m with the f_i left-weighted.  Letters are
+    grouped into chunks before entering the factor list (`push_letter`).  A
+    lazy flip parity absorbs the Delta^-1 introduced by each negative chunk,
+    so negative letters cost the same as positive ones: the stored factor s_i
+    represents the actual factor flip^parity(s_i), and flip is an
+    automorphism preserving left-weightedness, Delta and the identity.
+    A negative run sigma_a^-1 ... sigma_b^-1 spells P^-1, P = sigma_b ...
+    sigma_a, and is held as P's reversal sigma_a ... sigma_b, which grows
+    on the right as a positive run does and has P^-1's permutation.
     """
 
     def __init__(self, n: int):
@@ -140,8 +143,8 @@ class _Normalizer:
         self._id = list(range(n))
         self._delta = list(range(n - 1, -1, -1))
         # chunk accumulator: a permutation braid under construction, in actual
-        # (unflipped) coordinates; sign -1 means the accumulated braid appears
-        # inverted in the word (a maximal run of negative letters).
+        # (unflipped) coordinates; sign -1 means a run of negative letters,
+        # held as the reversal of the braid it inverts.
         self._acc = None  # [perm, inv] or None
         self._acc_sign = 1
 
@@ -171,65 +174,45 @@ class _Normalizer:
         if acc is None:
             return
         self._acc = None
-        if self._acc_sign > 0:
-            perm = acc[0]
-            inv = acc[1]
-        else:
+        perm, inv = acc
+        if self._acc_sign < 0:
             # P^-1 = Delta^-1 . (Delta P^-1): one Delta^-1 (a parity toggle)
-            # plus the left-complement permutation braid, per chunk.
+            # plus the left-complement permutation braid, per chunk
             self.d -= 1
             self.parity ^= 1
-            qinv = acc[1]
-            perm = [qinv[x] for x in self._delta]  # Delta * P^-1
-            inv = list(invert(tuple(perm)))
+            perm = [perm[x] for x in self._delta]  # Delta * P^-1
         if self.parity:
-            perm = list(flip(tuple(perm)))
-            inv = list(invert(tuple(perm)))
+            perm = flip(perm)
+        if perm is not acc[0]:  # complemented or flipped
+            inv = invert(perm)
         self._append_perm(perm, inv)
 
     # -- letter stream ------------------------------------------------------
 
     def push_letter(self, k: Letter) -> None:
-        n = self.n
+        """Add letter k to the chunk, a run of letters of one sign that
+        spells a permutation braid or its inverse; a letter that would end
+        the run flushes the chunk and starts the next."""
         i = abs(k) - 1
         acc = self._acc
-        if k > 0:
-            if acc is not None and self._acc_sign > 0:
-                perm, inv = acc
-                if inv[i] < inv[i + 1]:
-                    # chunk extends on the right: acc * sigma_i
-                    p, q = inv[i], inv[i + 1]
-                    inv[i], inv[i + 1] = q, p
-                    perm[p], perm[q] = perm[q], perm[p]
-                    return
-            self._flush()
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            self._acc = [perm, list(perm)]
-            self._acc_sign = 1
-        else:
-            if acc is not None and self._acc_sign < 0:
-                perm, inv = acc
-                if perm[i] < perm[i + 1]:
-                    # word suffix ...sigma_a^-1 sigma_i^-1 = (sigma_i ...
-                    # sigma_a)^-1: the positive chunk extends on the left.
-                    u, v = perm[i], perm[i + 1]
-                    perm[i], perm[i + 1] = v, u
-                    inv[v], inv[u] = i, i + 1
-                    return
-            self._flush()
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            self._acc = [perm, list(perm)]
-            self._acc_sign = -1
+        if acc is not None and k * self._acc_sign > 0:
+            perm, inv = acc
+            if inv[i] < inv[i + 1]:
+                # the chunk extends on the right: acc * sigma_i
+                p, q = inv[i], inv[i + 1]
+                inv[i], inv[i + 1] = q, p
+                perm[p], perm[q] = perm[q], perm[p]
+                return
+        self._flush()
+        perm = list(range(self.n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        self._acc = [perm, list(perm)]
+        self._acc_sign = 1 if k > 0 else -1
 
     def result(self):
         self._flush()
-        if self.parity:
-            facs = tuple(flip(tuple(f[0])) for f in self.factors)
-        else:
-            facs = tuple(tuple(f[0]) for f in self.factors)
-        return self.d, facs
+        return self.d, tuple(tuple(flip(p) if self.parity else p)
+                             for p, _ in self.factors)
 
 
 def normal_form_of_word(n: int, word):

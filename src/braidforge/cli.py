@@ -86,7 +86,7 @@ def _emit_report(rep: VerificationReport, args, manifest: RunManifest,
         _write(args.out, fz.dumps(), manifest)
     for line in rep.lines():
         print(line)
-    if getattr(args, "report", None):
+    if args.report:
         payload = rep.to_json()
         payload["manifest"] = manifest.finish()
         _write(args.report, json.dumps(payload, indent=2, sort_keys=True), manifest)
@@ -107,7 +107,7 @@ def cmd_degen(args) -> int:
         print(f"totals: parasitic {t['parasitic']}, vertex {t['vertex']}, "
               f"total {t['total']}")
     if args.identity:
-        rep.checks.extend(check_full_twist(fz).checks)
+        rep.extend(check_full_twist(fz))
     return _emit_report(rep, args, manifest, fz)
 
 
@@ -151,7 +151,7 @@ def cmd_regen(args) -> int:
             status = "identical" if not diff else "; ".join(diff[:3])
             print(f"local monodromy V{obj['vertex']} diff: {status}")
     if args.identity:
-        rep.checks.extend(check_refinement(src, fz).checks)
+        rep.extend(check_refinement(src, fz))
     return _emit_report(rep, args, manifest, fz)
 
 

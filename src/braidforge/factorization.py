@@ -86,9 +86,7 @@ class Factor:
 
     def braid(self) -> Braid:
         """twist^exponent, as t^-1, core^exponent and t."""
-        p = _Product(self.n)
-        p.push(self)
-        return p.braid()
+        return (self.core ** self.exponent).conjugate(self.transport)
 
     @property
     def degree(self) -> int:
@@ -235,9 +233,6 @@ class _Product:
         extend_reduced(w, self.t)
         return w
 
-    def braid(self) -> Braid:
-        return Braid._reduced(self.n, tuple(self.word()))
-
 
 def transport_heads(factors):
     """(factor, p, k) for each factor in order: p is the previous factor's
@@ -273,9 +268,9 @@ class Factorization:
     Consecutive transports share long suffixes (98 % of the letters of the
     54-strand certificate), and the paths that walk the transports in order
     touch only each transport's head, the letters before the suffix it
-    shares with the previous one: the product (`word`, `product`,
-    `Factor.braid`, through `_Product`), `to_json` and `regenerate`'s
-    cabling, the last two through `transport_heads`.
+    shares with the previous one: the product (`word` and `product`,
+    through `_Product`), `to_json` and `regenerate`'s cabling, the last two
+    through `transport_heads`.
 
     A certificate is {"format": 2, "strands", "factors"}: each factor writes
     only its transport's head and the length of the suffix it keeps

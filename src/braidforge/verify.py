@@ -40,6 +40,12 @@ class VerificationReport:
             ok, witness = got == want, f"got {got}"
         self.add(f"{name} == {want}", ok, "" if ok else witness)
 
+    def extend(self, other: "VerificationReport"):
+        """Take the other report's checks, totals and runtimes."""
+        self.checks.extend(other.checks)
+        self.totals.update(other.totals)
+        self.runtime.update(other.runtime)
+
     @property
     def passed(self) -> bool:
         return all(c["status"] != "fail" for c in self.checks)

@@ -1,5 +1,6 @@
 """Group laws, canonical forms, and a sympy Burau-matrix oracle."""
 
+import hashlib
 import itertools
 import random
 
@@ -12,7 +13,7 @@ from braidforge.braid import (Braid, artin_gen, cable, cable_word, delta,
                               delta_squared, from_text, half_twist_word,
                               inversions, perm_of_word, perm_to_word, to_text)
 from braidforge.braid import (_overlap, common_suffix, free_reduce,
-                              normal_form_of_word)
+                              inverse_word, normal_form_of_word)
 from braidforge.factorization import SINGULARITY_TAGS, Factor, Factorization
 
 N = 4
@@ -89,6 +90,37 @@ def test_the_normal_form_of_a_power_of_delta_is_that_power():
         assert delta_squared(n).is_full_twist()
         assert not delta(n).is_full_twist()
         assert not (delta_squared(n) * artin_gen(n, 1)).is_full_twist()
+
+
+def test_the_inverse_of_each_certificate_is_delta_to_the_minus_2(phi8_fz,
+                                                                  regen_fz):
+    """Long mixed runs on 27 and 54 strands: the inverse of each
+    certificate's product word is Delta^-2."""
+    for n, fz in ((27, phi8_fz), (54, regen_fz)):
+        assert normal_form_of_word(n, inverse_word(fz.word())) == (-2, ())
+
+
+# SHA-256 of the repr of the normal forms of `_corpus()`, pinned from the
+# normalizer with separate growth rules for positive and negative runs
+_CORPUS_DIGEST = ("de5ec3f87258a4a101e6baefcf1a85de"
+                  "0c851e778a58d958ef26870cfc522c60")
+
+
+def _corpus():
+    """(n, word) for 300 words on each of 2..9 strands, of up to 60
+    letters: all positive, all negative and mixed in turn."""
+    rng = random.Random(31)
+    for n in range(2, 10):
+        for j in range(300):
+            letters = [rng.randint(1, n - 1)
+                       for _ in range(rng.randint(0, 60))]
+            sign = (1, -1, 0)[j % 3]
+            yield n, [k * (sign or rng.choice((1, -1))) for k in letters]
+
+
+def test_normal_forms_of_a_pinned_corpus():
+    got = [normal_form_of_word(n, word) for n, word in _corpus()]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == _CORPUS_DIGEST
 
 
 def test_text_round_trip():

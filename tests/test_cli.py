@@ -64,6 +64,24 @@ def test_degen_out_and_report(tmp_path):
     assert rep["manifest"]["command"] == "degen"
 
 
+def test_reports_keep_the_identity_checks_totals_and_runtimes(tmp_path):
+    """--identity adds its check's degree total and runtime to the report,
+    next to the --audit totals."""
+    a = tmp_path / "A.json"
+    degen, regen = tmp_path / "degen.json", tmp_path / "regen.json"
+    assert main(["degen", "phi8", "--audit", "--identity", "--out", str(a),
+                 "--report", str(degen)]) == 0
+    rep = json.loads(degen.read_text())
+    assert rep["totals"] == {"parasitic": 432, "vertex": 270, "total": 702,
+                             "degree": 702}
+    assert set(rep["runtime"]) == {"check_full_twist"}
+    assert main(["regen", "run", "--in", str(a), "--identity",
+                 "--report", str(regen)]) == 0
+    rep = json.loads(regen.read_text())
+    assert rep["totals"] == {"degree": 2862}
+    assert set(rep["runtime"]) == {"check_refinement"}
+
+
 def test_degen_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["degen", "phi8", "--out", str(a)]) == 0

@@ -2,7 +2,9 @@
 
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -13,7 +15,7 @@ from braidforge.degeneration import (_build_phi8, _events, _marker_text,
                                      _realization, build_tt, degree_audit,
                                      dt_notation, markers, tilde_Cj,
                                      tilde_Delta2)
-from braidforge.factorization import COMPOSITE_TAG, Factor, _Product
+from braidforge.factorization import COMPOSITE_TAG, Factor
 from braidforge.regeneration import regenerate
 
 
@@ -152,11 +154,9 @@ def _reference_phi8(g):
     out = []
     for key in _paper_order(g):
         idx = next(i for i, (kk, _) in enumerate(cur) if kk == key)
-        prefix = _Product(n)
-        for _, h in cur[:idx]:
-            prefix.push(h)
+        prefix = reduce(mul, (h.braid() for _, h in cur[:idx]), Braid(n))
         _, f = cur.pop(idx)
-        out.append(f.conjugate(prefix.braid().inverse()) if idx else f)
+        out.append(f.conjugate(prefix.inverse()) if idx else f)
     return out
 
 
